@@ -5,6 +5,10 @@ stdout, diagnostics to stderr.  Exit status is 0 on success (including a
 "holds"/"admissible" verdict), 1 for an obstructed scenario or violated
 bound, and 2 for any input error.  Every number printed is an exact integer
 or a rational "a/b"; floating point notation never appears.
+
+Report documents are parsed from their exact sides alone and must be exactly
+the rendering of the report those sides give: a wrong verdict word, margin or
+overall, an unknown key or a non-canonical rational is an input error.
 """
 
 from __future__ import annotations
@@ -77,6 +81,15 @@ def _document_rational(value: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ScenarioFormatError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
+    except RecursionError as err:
+        raise ScenarioFormatError("JSON nested too deeply") from err
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 
@@ -90,10 +103,7 @@ def parse_scenario(text: str) -> DeformationScenario:
     "double_points": n, "genus": g}.  Unknown keys are rejected and every
     descriptor constraint is enforced here, with the offending key named.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ScenarioFormatError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
     unknown = sorted(set(data) - set(_SCENARIO_KEYS))
@@ -175,37 +185,37 @@ def serialize_report(report: ObstructionReport) -> str:
 
 
 def document_to_report(data: dict) -> ObstructionReport:
-    """Rebuild a report from its document form (inverse of report_to_document)."""
+    """Rebuild a report from its document form (inverse of report_to_document).
+
+    Only the sides, witnesses and Betti number are read; the document must
+    then be exactly the rendering of the rebuilt report, JSON types included
+    (a margin 2.0 is not 2).
+    """
     try:
-        genus_formula = EqualityVerdict(
-            _verdict_bool(data["genus_formula"]["verdict"]),
-            _strict_int(data["genus_formula"]["left"]),
-            _strict_int(data["genus_formula"]["right"]),
-        )
-        signature_bound = _sweep_from_document(data["signature_bound"])
-        one_sided_bound = _sweep_from_document(data["one_sided_bound"])
-        m_number_bound = RationalVerdict(
-            _verdict_bool(data["m_number_bound"]["verdict"]),
-            parse_rational(data["m_number_bound"]["left"]),
-            parse_rational(data["m_number_bound"]["right"]),
-        )
-        return ObstructionReport(
+        report = ObstructionReport(
             betti=_strict_int(data["betti"]),
-            genus_formula=genus_formula,
-            signature_bound=signature_bound,
-            one_sided_bound=one_sided_bound,
-            m_number_bound=m_number_bound,
-            overall=data["overall"],
+            genus_formula=EqualityVerdict(
+                _strict_int(data["genus_formula"]["left"]),
+                _strict_int(data["genus_formula"]["right"]),
+            ),
+            signature_bound=_sweep_from_document(data["signature_bound"]),
+            one_sided_bound=_sweep_from_document(data["one_sided_bound"]),
+            m_number_bound=RationalVerdict(
+                parse_rational(data["m_number_bound"]["left"]),
+                parse_rational(data["m_number_bound"]["right"]),
+            ),
         )
-    except (KeyError, TypeError) as err:
+        canonical = json.dumps(report_to_document(report), sort_keys=True)
+        consistent = json.dumps(data, sort_keys=True) == canonical
+    except (KeyError, TypeError, ValueError) as err:
         raise ScenarioFormatError(f"malformed report document: {err}") from err
+    if not consistent:
+        raise ScenarioFormatError("report document is not the rendering of its own sides")
+    return report
 
 
 def parse_report(text: str) -> ObstructionReport:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ScenarioFormatError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise ScenarioFormatError("report must be a JSON object")
     return document_to_report(data)
@@ -213,19 +223,10 @@ def parse_report(text: str) -> ObstructionReport:
 
 def _sweep_from_document(data: dict) -> SweepVerdict:
     return SweepVerdict(
-        _verdict_bool(data["verdict"]),
         parse_rational(data["witness"]),
         _strict_int(data["left"]),
         _strict_int(data["right"]),
     )
-
-
-def _verdict_bool(word) -> bool:
-    if word == "holds":
-        return True
-    if word == "fails":
-        return False
-    raise ScenarioFormatError(f"verdict must be 'holds' or 'fails', got {word!r}")
 
 
 def _strict_int(value) -> int:
@@ -307,11 +308,7 @@ def _cusp_from_pair_text(text: str) -> Cusp:
 
 
 def _cusps_from_file(path: str) -> list[Cusp]:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ScenarioFormatError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
+    data = _load_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise ScenarioFormatError("cusp file must contain a JSON list of [p, q] pairs")
     return [_cusp_from_json(item, f"cusps[{i}]") for i, item in enumerate(data)]

@@ -15,12 +15,17 @@ involved are step functions, checking them at the midpoints of the common
 breakpoint refinement is equivalent and exact.  Ordinary double points
 contribute the constant -1 to every signature sum.
 
+Both sweeps share one pass that evaluates each distinct fiber cusp once per
+midpoint, weighted by its multiplicity.  Verdicts store only their exact
+sides (and witness); `holds` and a report's `overall` are derived from them.
+
 Passing all checks never certifies that a deformation exists; the verdict
 "admissible" only means "not obstructed by these criteria".
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -52,6 +57,13 @@ DOUBLE_POINT_SIGNATURE = -1
 M_BOUND_SLACK = Fraction(2, 9)
 
 
+def _count(value, name: str) -> int:
+    """`value` if it is a non-negative int (bool is not a count), else ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DeformationScenario:
     """Central cusp plus the singularities, double points and genus of a
@@ -71,19 +83,20 @@ class DeformationScenario:
             if not isinstance(c, Cusp):
                 raise TypeError(f"fiber singularities must be Cusp, got {c!r}")
         object.__setattr__(self, "cusps", cusps)
-        if not isinstance(self.double_points, int) or self.double_points < 0:
-            raise ValueError(f"double_points must be a non-negative integer, got {self.double_points!r}")
-        if not isinstance(self.genus, int) or self.genus < 0:
-            raise ValueError(f"genus must be a non-negative integer, got {self.genus!r}")
+        _count(self.double_points, "double_points")
+        _count(self.genus, "genus")
 
 
 @dataclass(frozen=True)
 class EqualityVerdict:
     """Integer equality check; left and right are the two exact sides."""
 
-    holds: bool
     left: int
     right: int
+
+    @property
+    def holds(self) -> bool:
+        return self.left == self.right
 
 
 @dataclass(frozen=True)
@@ -92,10 +105,13 @@ class SweepVerdict:
     common breakpoint refinement; witness is the midpoint with the largest
     left side (first such midpoint on ties), left its value there."""
 
-    holds: bool
     witness: Fraction
     left: int
     right: int
+
+    @property
+    def holds(self) -> bool:
+        return self.left <= self.right
 
     @property
     def margin(self) -> int:
@@ -106,9 +122,12 @@ class SweepVerdict:
 class RationalVerdict:
     """Exact strict inequality left < right between rationals."""
 
-    holds: bool
     left: Fraction
     right: Fraction
+
+    @property
+    def holds(self) -> bool:
+        return self.left < self.right
 
     @property
     def margin(self) -> Fraction:
@@ -117,32 +136,27 @@ class RationalVerdict:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """All verdicts for one scenario; overall is "admissible" exactly when
-    every individual check holds."""
+    """All verdicts for one scenario; overall is derived, "admissible"
+    exactly when every individual check holds."""
 
     betti: int
     genus_formula: EqualityVerdict
     signature_bound: SweepVerdict
     one_sided_bound: SweepVerdict
     m_number_bound: RationalVerdict
-    overall: str
 
-    def __post_init__(self) -> None:
-        if self.overall not in ("admissible", "obstructed"):
-            raise ValueError(f"overall must be 'admissible' or 'obstructed', got {self.overall!r}")
-        all_hold = (
+    @property
+    def admissible(self) -> bool:
+        return (
             self.genus_formula.holds
             and self.signature_bound.holds
             and self.one_sided_bound.holds
             and self.m_number_bound.holds
         )
-        expected = "admissible" if all_hold else "obstructed"
-        if self.overall != expected:
-            raise ValueError("overall verdict inconsistent with the individual checks")
 
     @property
-    def admissible(self) -> bool:
-        return self.overall == "admissible"
+    def overall(self) -> str:
+        return "admissible" if self.admissible else "obstructed"
 
 
 def betti_number(scenario: DeformationScenario) -> int:
@@ -158,51 +172,46 @@ def check_genus_formula(scenario: DeformationScenario) -> EqualityVerdict:
         + 2 * scenario.double_points
         + sum(milnor_number(c) for c in scenario.cusps)
     )
-    return EqualityVerdict(left == right, left, right)
+    return EqualityVerdict(left, right)
 
 
-def _sweep_midpoints(scenario: DeformationScenario) -> list[Fraction]:
-    """Midpoints of the maximal intervals cut out of (0, 1) by the union of
-    all breakpoints of the central and fiber cusp signature functions.
+def _sweeps(scenario: DeformationScenario) -> tuple[SweepVerdict, SweepVerdict]:
+    """(signature bound, one-sided bound), swept together over the midpoints
+    of the maximal intervals cut out of (0, 1) by the union of all
+    breakpoints of the central and fiber cusp signature functions.
 
     Step functions are constant on each such interval, so evaluating a
     pointwise bound at these midpoints decides it everywhere off the
     breakpoints.  Double points are constant in x and contribute none.
     """
-    points: set[Fraction] = set()
-    for cusp in {scenario.central, *scenario.cusps}:
-        points.update(torus_signature_function(cusp).breakpoints)
+    central = torus_signature_function(scenario.central)
+    fiber = [(torus_signature_function(c), n) for c, n in Counter(scenario.cusps).items()]
+    points = set(central.breakpoints)
+    for fn, _ in fiber:
+        points.update(fn.breakpoints)
     grid = [Fraction(0), *sorted(points), Fraction(1)]
-    return [(grid[i] + grid[i + 1]) / 2 for i in range(len(grid) - 1)]
-
-
-def _signatures_at(scenario: DeformationScenario, x: Fraction) -> tuple[int, int]:
-    """(sigma at x of the central knot, sum of sigma at x over fiber cusps)."""
-    central = torus_signature_function(scenario.central).value_at(x)
-    fiber = sum(torus_signature_function(c).value_at(x) for c in scenario.cusps)
-    return central, fiber
-
-
-def _sweep(scenario: DeformationScenario, left_of, bound: int) -> SweepVerdict:
-    worst_x = None
-    worst_left = None
-    for x in _sweep_midpoints(scenario):
-        central, fiber = _signatures_at(scenario, x)
-        left = left_of(central, fiber)
-        if worst_left is None or left > worst_left:
-            worst_x, worst_left = x, left
-    return SweepVerdict(worst_left <= bound, worst_x, worst_left, bound)
+    nodes = DOUBLE_POINT_SIGNATURE * scenario.double_points
+    two_sided = one_sided = None
+    for lo, hi in zip(grid, grid[1:]):
+        x = (lo + hi) / 2
+        sigma_0 = central.value_at(x)
+        sigma_fiber = sum(n * fn.value_at(x) for fn, n in fiber)
+        left = abs(sigma_0 - (sigma_fiber + nodes))
+        if two_sided is None or left > two_sided[1]:
+            two_sided = (x, left)
+        left = sigma_0 - sigma_fiber
+        if one_sided is None or left > one_sided[1]:
+            one_sided = (x, left)
+    return (
+        SweepVerdict(*two_sided, betti_number(scenario)),
+        SweepVerdict(*one_sided, 2 * scenario.genus),
+    )
 
 
 def check_signature_bound(scenario: DeformationScenario) -> SweepVerdict:
     """|sigma_0(x) - (sum_k sigma_k(x) - R)| <= 2g + R at every midpoint of
     the common refinement; each double point contributes -1 to the fiber sum."""
-    r = scenario.double_points
-    return _sweep(
-        scenario,
-        lambda central, fiber: abs(central - (fiber + DOUBLE_POINT_SIGNATURE * r)),
-        betti_number(scenario),
-    )
+    return _sweeps(scenario)[0]
 
 
 def check_one_sided_bound(scenario: DeformationScenario) -> SweepVerdict:
@@ -211,11 +220,7 @@ def check_one_sided_bound(scenario: DeformationScenario) -> SweepVerdict:
     Double points drop out: their -1 cancels against the R part of the
     Betti number, leaving only the genus on the right side.
     """
-    return _sweep(
-        scenario,
-        lambda central, fiber: central - fiber,
-        2 * scenario.genus,
-    )
+    return _sweeps(scenario)[1]
 
 
 def check_m_number_bound(scenario: DeformationScenario) -> RationalVerdict:
@@ -223,28 +228,18 @@ def check_m_number_bound(scenario: DeformationScenario) -> RationalVerdict:
     strictly; equality counts as violated."""
     left = sum((m_number(c) for c in scenario.cusps), Fraction(0)) - m_number(scenario.central)
     right = 8 * scenario.genus + 2 * scenario.double_points + M_BOUND_SLACK
-    return RationalVerdict(left < right, left, right)
+    return RationalVerdict(left, right)
 
 
 def full_report(scenario: DeformationScenario) -> ObstructionReport:
-    """Run all four checks and aggregate the verdicts."""
-    genus_formula = check_genus_formula(scenario)
-    signature_bound = check_signature_bound(scenario)
-    one_sided_bound = check_one_sided_bound(scenario)
-    m_number_bound = check_m_number_bound(scenario)
-    all_hold = (
-        genus_formula.holds
-        and signature_bound.holds
-        and one_sided_bound.holds
-        and m_number_bound.holds
-    )
+    """Run all four checks; both sweeps share one pass."""
+    signature_bound, one_sided_bound = _sweeps(scenario)
     return ObstructionReport(
         betti=betti_number(scenario),
-        genus_formula=genus_formula,
+        genus_formula=check_genus_formula(scenario),
         signature_bound=signature_bound,
         one_sided_bound=one_sided_bound,
-        m_number_bound=m_number_bound,
-        overall="admissible" if all_hold else "obstructed",
+        m_number_bound=check_m_number_bound(scenario),
     )
 
 
@@ -264,8 +259,7 @@ def bmy_check(p: int, q: int, cusps: Iterable[Cusp], double_points: int = 0) -> 
     for c in cusps:
         if not isinstance(c, Cusp):
             raise TypeError(f"cusps must be Cusp descriptors, got {c!r}")
-    if not isinstance(double_points, int) or double_points < 0:
-        raise ValueError(f"double_points must be a non-negative integer, got {double_points!r}")
+    _count(double_points, "double_points")
     left = sum((m_number(c) for c in cusps), Fraction(0))
     right = m_number(target) + 2 * double_points + M_BOUND_SLACK
-    return RationalVerdict(left < right, left, right)
+    return RationalVerdict(left, right)

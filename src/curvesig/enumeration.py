@@ -29,6 +29,7 @@ from .deformation import (
     M_BOUND_SLACK,
     DeformationScenario,
     ObstructionReport,
+    _count,
     full_report,
 )
 from .singularities import Cusp, m_number, milnor_number
@@ -60,12 +61,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if not isinstance(self.central, Cusp):
             raise TypeError(f"central singularity must be a Cusp, got {self.central!r}")
-        if not isinstance(self.max_genus, int) or self.max_genus < 0:
-            raise ValueError(f"max_genus must be a non-negative integer, got {self.max_genus!r}")
-        if not isinstance(self.max_double_points, int) or self.max_double_points < 0:
-            raise ValueError(
-                f"max_double_points must be a non-negative integer, got {self.max_double_points!r}"
-            )
+        _count(self.max_genus, "max_genus")
+        _count(self.max_double_points, "max_double_points")
 
 
 @dataclass(frozen=True)

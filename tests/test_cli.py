@@ -154,6 +154,13 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "/nonexistent/scenario.json")
         assert code == 2 and err != ""
 
+    def test_deeply_nested_json_is_status_two(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, "[" * 100_000)
+        for argv in (("check", path), ("bmy", "2", "3", "--cusps-file", path)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestScenarioParsing:
     def test_round_trip_of_fields(self):
@@ -296,6 +303,34 @@ class TestReportDocuments:
         assert document["m_number_bound"]["left"] == "-11/6"
         assert document["m_number_bound"]["right"] == "20/9"
         assert isinstance(document["signature_bound"]["witness"], str)
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("genus_formula",), {"verdict": "holds", "left": 99, "right": 2}),
+            (("signature_bound",), {"verdict": "holds", "witness": "1/2", "left": 50, "right": 1, "margin": -49}),
+            (("signature_bound", "margin"), 1),
+            (("m_number_bound", "margin"), "181/17"),
+            (("overall",), "obstructed"),
+            (("one_sided_bound", "margin"), 2.0),
+            (("one_sided_bound", "verdict"), "fails"),
+            (("one_sided_bound", "witness"), "2/24"),
+            (("m_number_bound", "right"), "74/9 "),
+            (("m_number_bound", "right"), "148/18"),
+            (("betti", ), True),
+            (("colour",), "red"),
+        ],
+    )
+    def test_rejects_documents_inconsistent_with_their_sides(self, path, value):
+        document = json.loads(serialize_report(full_report(DeformationScenario(Cusp(2, 3), (), 0, 1))))
+        assert document["one_sided_bound"]["margin"] == 2
+        parse_report(json.dumps(document))
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioFormatError):
+            parse_report(json.dumps(document))
 
     def test_rejects_bad_documents(self):
         with pytest.raises(ScenarioFormatError):

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +10,6 @@ from curvesig import (
     Cusp,
     DeformationScenario,
     EqualityVerdict,
-    ObstructionReport,
     RationalVerdict,
     SweepVerdict,
     betti_number,
@@ -21,6 +22,7 @@ from curvesig import (
     torus_signature_at,
     torus_signature_function,
 )
+from curvesig.cli import ScenarioFormatError, parse_report, report_to_document
 
 A2 = Cusp(2, 3)
 A4 = Cusp(2, 5)
@@ -51,6 +53,10 @@ class TestScenarioConstruction:
             DeformationScenario(A2, (), -1, 0)
         with pytest.raises(ValueError):
             DeformationScenario(A2, (), 0, -2)
+        with pytest.raises(ValueError):
+            DeformationScenario(A2, (), True, False)
+        with pytest.raises(ValueError):
+            DeformationScenario(A2, (), 0, True)
 
     def test_accepts_list_of_cusps(self):
         s = DeformationScenario(A2, [A2], 0, 0)
@@ -137,7 +143,7 @@ class TestMNumberBound:
         assert verdict.holds and verdict.left == 0 and verdict.right == Fraction(2, 9)
 
     def test_equality_counts_as_violated(self):
-        verdict = RationalVerdict(Fraction(1) < Fraction(1), Fraction(1), Fraction(1))
+        verdict = RationalVerdict(Fraction(1), Fraction(1))
         assert not verdict.holds
 
     def test_monotone_in_genus_and_double_points(self):
@@ -181,16 +187,12 @@ class TestFullReport:
         assert not failing_genus.genus_formula.holds and failing_genus.m_number_bound.holds
 
     def test_report_rejects_inconsistent_overall(self):
-        report = full_report(CUSP_TO_NODE)
-        with pytest.raises(ValueError):
-            ObstructionReport(
-                betti=report.betti,
-                genus_formula=report.genus_formula,
-                signature_bound=report.signature_bound,
-                one_sided_bound=report.one_sided_bound,
-                m_number_bound=report.m_number_bound,
-                overall="obstructed",
-            )
+        # overall is derived in memory; only a document can carry a wrong one
+        document = report_to_document(full_report(CUSP_TO_NODE))
+        assert document["overall"] == "admissible"
+        document["overall"] = "obstructed"
+        with pytest.raises(ScenarioFormatError):
+            parse_report(json.dumps(document))
 
 
 class TestPermutationInvariance:
@@ -235,6 +237,45 @@ class TestSweepSufficiency:
             )
             assert resweep == worst
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_cusps_match_per_copy_reference(self, seed):
+        # both sweeps weight each distinct cusp by its multiplicity; the
+        # reference evaluates every copy separately at every midpoint
+        rng = random.Random(2000 + seed)
+        if seed == 0:
+            cusps = [A2] * 12 + [Cusp(3, 4)] * 3 + [A4]
+        else:
+            pool = [A2, A4, A6, Cusp(3, 4), Cusp(3, 5)]
+            cusps = [rng.choice([A2, A4, Cusp(3, 4)])] * rng.randint(5, 12)
+            cusps += [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+            rng.shuffle(cusps)
+        scenario = DeformationScenario(
+            rng.choice([Cusp(2, 31), Cusp(5, 7), Cusp(4, 9)]), tuple(cusps), rng.randint(0, 3), rng.randint(0, 2)
+        )
+        assert max(Counter(scenario.cusps).values()) >= 5
+        points = set()
+        for cusp in {scenario.central, *scenario.cusps}:
+            points.update(torus_signature_function(cusp).breakpoints)
+        grid = [Fraction(0), *sorted(points), Fraction(1)]
+        two_sided = one_sided = None
+        for i in range(len(grid) - 1):
+            x = (grid[i] + grid[i + 1]) / 2
+            central = torus_signature_function(scenario.central).value_at(x)
+            fiber = sum(torus_signature_function(c).value_at(x) for c in scenario.cusps)
+            left = abs(central - (fiber - scenario.double_points))
+            if two_sided is None or left > two_sided[1]:
+                two_sided = (x, left)
+            if one_sided is None or central - fiber > one_sided[1]:
+                one_sided = (x, central - fiber)
+        for verdict, (witness, left) in [
+            (check_signature_bound(scenario), two_sided),
+            (check_one_sided_bound(scenario), one_sided),
+        ]:
+            assert (verdict.witness, verdict.left) == (witness, left)
+        report = full_report(scenario)
+        assert report.signature_bound == check_signature_bound(scenario)
+        assert report.one_sided_bound == check_one_sided_bound(scenario)
+
 
 class TestSelfDeformation:
     @pytest.mark.parametrize(
@@ -275,12 +316,14 @@ class TestBmyCheck:
     def test_rejects_negative_double_points(self):
         with pytest.raises(ValueError):
             bmy_check(2, 3, [], -1)
+        with pytest.raises(ValueError):
+            bmy_check(2, 3, [], True)
 
 
 def test_verdict_margin_properties():
-    sweep = SweepVerdict(True, Fraction(1, 2), 1, 3)
+    sweep = SweepVerdict(Fraction(1, 2), 1, 3)
     assert sweep.margin == 2
-    rational = RationalVerdict(True, Fraction(1, 3), Fraction(1, 2))
+    rational = RationalVerdict(Fraction(1, 3), Fraction(1, 2))
     assert rational.margin == Fraction(1, 6)
-    equality = EqualityVerdict(True, 4, 4)
+    equality = EqualityVerdict(4, 4)
     assert equality.left == equality.right

@@ -176,6 +176,10 @@ class TestBudgetValidation:
             SearchBudget(A2, -1, 0)
         with pytest.raises(ValueError):
             SearchBudget(A2, 0, -1)
+        with pytest.raises(ValueError):
+            SearchBudget(A2, True, 0)
+        with pytest.raises(ValueError):
+            SearchBudget(A2, 0, True)
 
     def test_rejects_non_cusp_central(self):
         with pytest.raises(TypeError):

@@ -174,6 +174,16 @@ class TestIntegral:
         d = -3 * integral(torus_signature_function(cusp)) - m_number(cusp) - milnor_number(cusp)
         assert 0 < d < Fraction(2, 9)
 
+    def test_bound_window_closed_form(self):
+        # integral of sigma_{p,q} is -(p^2-1)(q^2-1)/(3pq), so the window
+        # quantity is exactly 1/(pq); checked on every coprime pair, pq <= 150
+        pairs = [(p, q) for p in range(2, 13) for q in range(p + 1, 76) if gcd(p, q) == 1 and p * q <= 150]
+        assert len(pairs) == 139
+        for p, q in pairs:
+            cusp = Cusp(p, q)
+            d = -3 * integral(torus_signature_function(cusp)) - m_number(cusp) - milnor_number(cusp)
+            assert d == Fraction(1, p * q), (p, q)
+
 
 class TestStepFunction:
     def test_value_lookup(self):
