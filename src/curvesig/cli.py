@@ -118,9 +118,10 @@ def parse_scenario(text: str) -> DeformationScenario:
     cusps = tuple(
         _cusp_from_json(item, f"cusps[{i}]") for i, item in enumerate(data["cusps"])
     )
-    double_points = _non_negative_int(data["double_points"], "double_points")
-    genus = _non_negative_int(data["genus"], "genus")
-    return DeformationScenario(central, cusps, double_points, genus)
+    try:
+        return DeformationScenario(central, cusps, data["double_points"], data["genus"])
+    except ValueError as err:
+        raise ScenarioFormatError(str(err)) from err
 
 
 def _cusp_from_json(item, where: str) -> Cusp:
@@ -134,12 +135,6 @@ def _cusp_from_json(item, where: str) -> Cusp:
         return Cusp(item[0], item[1])
     except ValueError as err:
         raise ScenarioFormatError(f"{where}: {err}") from err
-
-
-def _non_negative_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ScenarioFormatError(f"{where}: expected a non-negative integer")
-    return value
 
 
 # ---------------------------------------------------------------------------

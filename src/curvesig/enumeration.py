@@ -115,23 +115,24 @@ def enumerate_admissible(
     m_central = m_number(central)
     loosest_m_bound = 8 * budget.max_genus + 2 * budget.max_double_points + M_BOUND_SLACK
 
-    def walk(chosen: list[Cusp], start: int, mu_sum: int, m_sum: Fraction) -> Iterator[SearchResult]:
+    # preorder over an explicit stack, so no depth can raise RecursionError;
+    # children are pushed in reverse so that they pop in canonical order
+    stack = [((), 0, 0, Fraction(0))]
+    while stack:
+        chosen, start, mu_sum, m_sum = stack.pop()
         if budget.require_genus_formula and mu_sum > mu_central:
-            return
+            continue
         if m_sum - m_central >= loosest_m_bound:
-            return
+            continue
         for genus in range(budget.max_genus + 1):
             for double_points in range(budget.max_double_points + 1):
-                scenario = DeformationScenario(central, tuple(chosen), double_points, genus)
+                scenario = DeformationScenario(central, chosen, double_points, genus)
                 report = full_report(scenario)
                 if _emit_filter(report, budget):
                     yield SearchResult(scenario, report)
-        for i in range(start, len(pool)):
-            chosen.append(pool[i])
-            yield from walk(chosen, i, mu_sum + milnor_number(pool[i]), m_sum + m_number(pool[i]))
-            chosen.pop()
-
-    yield from walk([], 0, 0, Fraction(0))
+        for i in reversed(range(start, len(pool))):
+            cusp = pool[i]
+            stack.append((chosen + (cusp,), i, mu_sum + milnor_number(cusp), m_sum + m_number(cusp)))
 
 
 def count_admissible(budget: SearchBudget, candidates: Sequence[Cusp] | None = None) -> int:

@@ -15,7 +15,8 @@ rather than picking one of the competing averaging conventions.
 A second, floating-point route evaluates the signature of the Hermitian
 form (1 - z) V + (1 - conj(z)) V^T for a Seifert matrix V.  Only the (2, q)
 family has a matrix generator here; the route exists to cross-check the
-counting formula, never to replace it.
+counting formula, never to replace it, and it imports numpy lazily, so the
+exact routes need no numpy.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import index
-
-import numpy as np
 
 from .singularities import Cusp
 
@@ -266,13 +265,18 @@ def seifert_signature_at(
     by sign.  Raises `NearSingularForm` when the smallest eigenvalue
     magnitude falls below `tolerance` times the largest (or the form
     vanishes outright), which signals that x sits too close to a jump of
-    the signature function; the caller should perturb x.
+    the signature function; the caller should perturb x.  numpy is imported
+    here, on the first call; without it an ImportError names the extra.
     """
     x = _exact(x)
     if not 0 < x < 1:
         raise ValueError(f"argument {x} outside the open interval (0, 1)")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    try:
+        import numpy as np
+    except ImportError as err:
+        raise ImportError("the Seifert cross-check needs numpy: install curvesig[oracle]") from err
     z = cmath.exp(2j * math.pi * float(x))
     v = np.array(matrix.entries, dtype=np.complex128)
     form = (1 - z) * v + (1 - z.conjugate()) * v.T

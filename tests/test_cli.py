@@ -154,6 +154,19 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "/nonexistent/scenario.json")
         assert code == 2 and err != ""
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("double_points", -1, "double_points must be a non-negative integer, got -1"),
+            ("genus", True, "genus must be a non-negative integer, got True"),
+        ],
+    )
+    def test_bad_count_is_status_two(self, tmp_path, capsys, key, value, message):
+        payload = {"central": [2, 3], "cusps": [], "double_points": 0, "genus": 0, key: value}
+        code, out, err = run(capsys, "check", self.write_scenario(tmp_path, payload))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_deeply_nested_json_is_status_two(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path, "[" * 100_000)
         for argv in (("check", path), ("bmy", "2", "3", "--cusps-file", path)):
@@ -361,3 +374,56 @@ class TestNoFloatNotation:
             main(list(argv))
             out = capsys.readouterr().out
             assert not FLOAT_NOTATION.search(out), (argv, out)
+
+
+class TestImportPath:
+    """numpy is an optional extra: only the Seifert cross-check imports it."""
+
+    BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+
+    def test_package_import_leaves_numpy_out(self, run_python):
+        proc = run_python("import sys\nimport curvesig, curvesig.cli\nprint('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_commands_run_without_numpy(self, run_python, capsys, tmp_path):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(
+            json.dumps({"central": [2, 7], "cusps": [[2, 3]], "double_points": 1, "genus": 1})
+        )
+        commands = [
+            ["invariants", "2", "3"],
+            ["signature", "2", "5"],
+            ["check", str(scenario)],
+            ["enumerate", "2", "7", "--max-genus", "0", "--max-double-points", "1"],
+            ["bmy", "3", "4", "--cusps", "2,3"],
+        ]
+        expected = [list(run(capsys, *argv)[:2]) for argv in commands]
+        assert all(code in (0, 1) and out for code, out in expected)
+        proc = run_python(
+            self.BLOCK_NUMPY
+            + "import contextlib, io, json\n"
+            + "from curvesig.cli import main\n"
+            + "results = []\n"
+            + f"for argv in {commands!r}:\n"
+            + "    out = io.StringIO()\n"
+            + "    with contextlib.redirect_stdout(out):\n"
+            + "        code = main(argv)\n"
+            + "    results.append([code, out.getvalue()])\n"
+            + "print(json.dumps(results))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected
+
+    def test_seifert_route_names_the_extra(self, run_python):
+        proc = run_python(
+            self.BLOCK_NUMPY
+            + "from fractions import Fraction\n"
+            + "from curvesig import bidiagonal_seifert, seifert_signature_at\n"
+            + "try:\n"
+            + "    seifert_signature_at(bidiagonal_seifert(3), Fraction(1, 2))\n"
+            + "except ImportError as err:\n"
+            + "    print(err)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "curvesig[oracle]" in proc.stdout

@@ -170,6 +170,19 @@ class TestCountAdmissible:
         assert count_admissible(budget) == len(list(enumerate_admissible(budget)))
 
 
+class TestDeepWalk:
+    def test_no_recursion_error_under_a_low_limit(self, run_python):
+        # a child interpreter, so that pytest's own frames do not count
+        proc = run_python(
+            "import sys\n"
+            "from curvesig import Cusp, SearchBudget, count_admissible\n"
+            "sys.setrecursionlimit(30)\n"
+            "print(count_admissible(SearchBudget(Cusp(2, 3), 12, 0, False)))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "103\n"
+
+
 class TestBudgetValidation:
     def test_rejects_negative_limits(self):
         with pytest.raises(ValueError):
