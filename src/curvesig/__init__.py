@@ -3,97 +3,18 @@ Tristram-Levine signature functions of torus knots with exact rational
 integrals, obstruction checks for deformation scenarios, and a pruned search
 over non-obstructed fiber configurations."""
 
-from .deformation import (
-    DOUBLE_POINT_SIGNATURE,
-    M_BOUND_SLACK,
-    DeformationScenario,
-    EqualityVerdict,
-    ObstructionReport,
-    RationalVerdict,
-    SweepVerdict,
-    betti_number,
-    bmy_check,
-    check_genus_formula,
-    check_m_number_bound,
-    check_one_sided_bound,
-    check_signature_bound,
-    full_report,
-)
-from .enumeration import (
-    SearchBudget,
-    SearchResult,
-    candidate_cusps,
-    count_admissible,
-    enumerate_admissible,
-)
-from .signature import (
-    DEFAULT_DEGENERACY_TOLERANCE,
-    BreakpointEvaluation,
-    JumpSet,
-    NearSingularForm,
-    SeifertMatrix,
-    StepFunction,
-    bidiagonal_seifert,
-    integral,
-    jump_set,
-    seifert_signature_at,
-    torus_signature_at,
-    torus_signature_function,
-)
-from .singularities import (
-    Cusp,
-    OrdinaryDoublePoint,
-    Singularity,
-    m_bar_number,
-    m_number,
-    milnor_number,
-    n_squared_defect,
-)
+from . import deformation, enumeration, signature, singularities
+from .deformation import *
+from .enumeration import *
+from .signature import *
+from .singularities import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # singularities
-    "Cusp",
-    "OrdinaryDoublePoint",
-    "Singularity",
-    "milnor_number",
-    "m_number",
-    "m_bar_number",
-    "n_squared_defect",
-    # signature
-    "BreakpointEvaluation",
-    "NearSingularForm",
-    "JumpSet",
-    "StepFunction",
-    "SeifertMatrix",
-    "jump_set",
-    "torus_signature_at",
-    "torus_signature_function",
-    "integral",
-    "bidiagonal_seifert",
-    "seifert_signature_at",
-    "DEFAULT_DEGENERACY_TOLERANCE",
-    # deformation
-    "DOUBLE_POINT_SIGNATURE",
-    "M_BOUND_SLACK",
-    "DeformationScenario",
-    "EqualityVerdict",
-    "SweepVerdict",
-    "RationalVerdict",
-    "ObstructionReport",
-    "betti_number",
-    "check_genus_formula",
-    "check_signature_bound",
-    "check_one_sided_bound",
-    "check_m_number_bound",
-    "full_report",
-    "bmy_check",
-    # enumeration
-    "SearchBudget",
-    "SearchResult",
-    "candidate_cusps",
-    "enumerate_admissible",
-    "count_admissible",
+    *singularities.__all__,
+    *signature.__all__,
+    *deformation.__all__,
+    *enumeration.__all__,
 ]

@@ -1,16 +1,23 @@
 """Tristram-Levine signatures of torus knots, exactly.
 
 The signature of the (p, q) torus knot at zeta = exp(2*pi*i*x) is computed
-by a counting formula: with the jump multiset
+by a counting formula over the jump set
 
-    Sigma = {i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1}  inside (0, 2),
+    Sigma = {i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1}  inside (0, 2).
 
-the value at a non-jump x in (0, 1) is the number of elements of Sigma
-outside the open window (x, x+1) minus the number inside.  The function of
-x is assembled as an integer step function with exact rational breakpoints,
-so its integral over (0, 1) is an exact rational.  Values at the jumps
-themselves are undefined: evaluating there raises `BreakpointEvaluation`
-rather than picking one of the competing averaging conventions.
+Each jump is n/(pq) for the integer numerator n = iq + jp, and for coprime
+p, q these numerators are pairwise distinct, so the module counts integers
+and builds a `Fraction` only to hand a breakpoint out.  The value at a
+non-jump x in (0, 1) is the number of jumps outside the open window
+(x, x+1) minus the number inside.  As x grows, a jump n < pq leaves the
+window at n/(pq) and raises the value by 2, and a jump n > pq enters it at
+(n - pq)/(pq) and lowers it by 2; the value starts at 0 because the jumps
+are symmetric about 1.  The step function is therefore one sort of these
+integer events and a running sum, and its integral over (0, 1) is an exact
+rational.  `torus_signature_at` counts the window directly instead, so it
+stays an oracle independent of the scan.  Values at the jumps themselves
+are undefined: evaluating there raises `BreakpointEvaluation` rather than
+picking one of the competing averaging conventions.
 
 A second, floating-point route evaluates the signature of the Hermitian
 form (1 - z) V + (1 - conj(z)) V^T for a Seifert matrix V.  Only the (2, q)
@@ -23,10 +30,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import index
 
 from .singularities import Cusp
@@ -59,21 +67,19 @@ class NearSingularForm(ArithmeticError):
     """The numeric Hermitian form has an eigenvalue too close to zero."""
 
 
-def _exact(x) -> Fraction:
+def _unit_point(x) -> Fraction:
     # floats are binary approximations; exactness is the point of this module
     if isinstance(x, float):
         raise TypeError(f"expected an exact rational, got float {x!r}")
-    return Fraction(x)
+    x = Fraction(x)
+    if not 0 < x < 1:
+        raise ValueError(f"argument {x} outside the open interval (0, 1)")
+    return x
 
 
 @dataclass(frozen=True)
 class JumpSet:
-    """Sorted multiset of signature jump locations inside (0, 2).
-
-    Kept as a multiset even though the locations are pairwise distinct for
-    coprime (p, q): multiplicity bookkeeping keeps "cardinality equals the
-    Milnor number" a checkable fact rather than an assumption.
-    """
+    """Sorted set of signature jump locations inside (0, 2)."""
 
     elements: tuple[Fraction, ...]
 
@@ -83,7 +89,10 @@ class JumpSet:
                 raise TypeError(f"jump locations must be Fraction, got {e!r}")
             if not 0 < e < 2:
                 raise ValueError(f"jump location {e} outside the open interval (0, 2)")
-        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
+        elements = tuple(sorted(self.elements))
+        if any(e1 == e2 for e1, e2 in zip(elements, elements[1:])):
+            raise ValueError("jump locations must be distinct")
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -94,10 +103,6 @@ class JumpSet:
     def __contains__(self, x) -> bool:
         i = bisect_left(self.elements, x)
         return i < len(self.elements) and self.elements[i] == x
-
-    def count_strictly_between(self, lo: Fraction, hi: Fraction) -> int:
-        """Number of elements in the open interval (lo, hi), with multiplicity."""
-        return bisect_left(self.elements, hi) - bisect_right(self.elements, lo)
 
 
 @dataclass(frozen=True)
@@ -146,9 +151,7 @@ class StepFunction:
 
     def value_at(self, x) -> int:
         """Value on the open interval containing x, for x in (0, 1)."""
-        x = _exact(x)
-        if not 0 < x < 1:
-            raise ValueError(f"argument {x} outside the open interval (0, 1)")
+        x = _unit_point(x)
         i = bisect_left(self.breakpoints, x)
         if i < len(self.breakpoints) and self.breakpoints[i] == x:
             raise BreakpointEvaluation(x)
@@ -163,16 +166,16 @@ class StepFunction:
         return total
 
 
-@lru_cache(maxsize=None)
+def _numerators(cusp: Cusp) -> list[int]:
+    # the jump i/p + j/q is n/(pq) with n = iq + jp
+    p, q = cusp.p, cusp.q
+    return [i * q + j * p for i in range(1, p) for j in range(1, q)]
+
+
 def jump_set(cusp: Cusp) -> JumpSet:
-    """Jump multiset {i/p + j/q : 1 <= i < p, 1 <= j < q} of the (p, q) torus knot."""
-    return JumpSet(
-        tuple(
-            Fraction(i, cusp.p) + Fraction(j, cusp.q)
-            for i in range(1, cusp.p)
-            for j in range(1, cusp.q)
-        )
-    )
+    """Jump set {i/p + j/q : 1 <= i < p, 1 <= j < q} of the (p, q) torus knot."""
+    pq = cusp.p * cusp.q
+    return JumpSet(tuple(Fraction(n, pq) for n in _numerators(cusp)))
 
 
 def torus_signature_at(cusp: Cusp, x) -> int:
@@ -181,34 +184,36 @@ def torus_signature_at(cusp: Cusp, x) -> int:
     x must be a rational in (0, 1) such that neither x nor x + 1 is a jump
     location; at jumps the value is undefined and `BreakpointEvaluation` is
     raised.  The result is minus the number of jump locations inside the
-    open window (x, x + 1) plus the number outside it.
+    open window (x, x + 1) plus the number outside it.  With x = a/b in
+    lowest terms, jump n/(pq) lies inside exactly when
+    a*pq < n*b < (a + b)*pq, so the count needs integers only.
     """
-    x = _exact(x)
-    if not 0 < x < 1:
-        raise ValueError(f"argument {x} outside the open interval (0, 1)")
-    jumps = jump_set(cusp)
-    if x in jumps or x + 1 in jumps:
+    x = _unit_point(x)
+    a, b = x.numerator, x.denominator
+    pq = cusp.p * cusp.q
+    lo, hi = a * pq, (a + b) * pq
+    scaled = [n * b for n in _numerators(cusp)]
+    if lo in scaled or hi in scaled:
         raise BreakpointEvaluation(x)
-    inside = jumps.count_strictly_between(x, x + 1)
-    return len(jumps) - 2 * inside
+    inside = sum(lo < s < hi for s in scaled)
+    return len(scaled) - 2 * inside
 
 
 @lru_cache(maxsize=None)
 def torus_signature_function(cusp: Cusp) -> StepFunction:
     """The map x -> signature at exp(2*pi*i*x) as an exact step function.
 
-    Breakpoints are the jump locations folded into (0, 1): s for jumps
-    s < 1 and s - 1 for jumps s > 1 (no jump sits at 1 when p and q are
-    coprime).  Interval values come from the counting formula evaluated at
-    interval midpoints.
+    Breakpoints are the jump locations folded into (0, 1): n/(pq) for
+    numerators n < pq and (n - pq)/(pq) for n > pq (no jump sits at 1 when
+    p and q are coprime).  Crossing the first kind raises the value by 2,
+    crossing the second lowers it by 2, and the value starts at 0.
     """
-    folded = sorted({s if s < 1 else s - 1 for s in jump_set(cusp)})
-    grid = (Fraction(0), *folded, Fraction(1))
-    values = tuple(
-        torus_signature_at(cusp, (grid[i] + grid[i + 1]) / 2)
-        for i in range(len(grid) - 1)
+    pq = cusp.p * cusp.q
+    events = sorted((n, 2) if n < pq else (n - pq, -2) for n in _numerators(cusp))
+    return StepFunction(
+        tuple(Fraction(n, pq) for n, _ in events),
+        tuple(accumulate((step for _, step in events), initial=0)),
     )
-    return StepFunction(tuple(folded), values)
 
 
 def integral(f: StepFunction) -> Fraction:
@@ -268,9 +273,7 @@ def seifert_signature_at(
     the signature function; the caller should perturb x.  numpy is imported
     here, on the first call; without it an ImportError names the extra.
     """
-    x = _exact(x)
-    if not 0 < x < 1:
-        raise ValueError(f"argument {x} outside the open interval (0, 1)")
+    x = _unit_point(x)
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     try:

@@ -70,8 +70,8 @@ def milnor_number(s: Singularity) -> int:
     """Milnor number of the singularity.
 
     For the cusp {x^p = y^q} this is (p - 1)(q - 1), which also counts the
-    multiset {i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1} of signature jumps
-    of the (p, q) torus knot.  An ordinary double point has Milnor number 1.
+    set {i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1} of signature jumps of
+    the (p, q) torus knot.  An ordinary double point has Milnor number 1.
     """
     if isinstance(s, Cusp):
         return (s.p - 1) * (s.q - 1)

@@ -21,6 +21,7 @@ from curvesig import (
 )
 
 SMALL_PAIRS = [(p, q) for p in range(2, 7) for q in range(p + 1, 16) if gcd(p, q) == 1 and p * q <= 30]
+WINDOW_PAIRS = [(p, q) for p in range(2, 13) for q in range(p + 1, 76) if gcd(p, q) == 1 and p * q <= 150]
 
 
 def random_non_breakpoint(rng, cusp, denominator=10000):
@@ -68,6 +69,12 @@ class TestJumpSet:
             JumpSet((Fraction(2),))
         with pytest.raises(TypeError):
             JumpSet((0.5,))
+
+    def test_rejects_duplicate_locations(self):
+        from curvesig import JumpSet
+
+        with pytest.raises(ValueError, match="distinct"):
+            JumpSet((Fraction(5, 6), Fraction(7, 6), Fraction(5, 6)))
 
 
 class TestTorusSignatureAt:
@@ -135,10 +142,13 @@ class TestTorusSignatureFunction:
         assert fn.values[0] == 0
         assert fn.values[-1] == 0
 
-    @pytest.mark.parametrize("p,q", SMALL_PAIRS)
+    @pytest.mark.parametrize("p,q", WINDOW_PAIRS)
     def test_agrees_with_pointwise_formula_at_random_interior_points(self, p, q):
+        # the event scan against the direct window count; the breakpoints
+        # are mu distinct points, each a jump of x or of x + 1
         cusp = Cusp(p, q)
         fn = torus_signature_function(cusp)
+        assert len(fn.breakpoints) == milnor_number(cusp)
         rng = random.Random(17 * p + q)
         grid = (Fraction(0), *fn.breakpoints, Fraction(1))
         for i in range(len(grid) - 1):
@@ -146,6 +156,9 @@ class TestTorusSignatureFunction:
             t = Fraction(rng.randint(1, 99), 100)
             x = lo + (hi - lo) * t
             assert fn.value_at(x) == torus_signature_at(cusp, x)
+        for b in fn.breakpoints:
+            with pytest.raises(BreakpointEvaluation):
+                torus_signature_at(cusp, b)
 
 
 class TestIntegral:
@@ -177,9 +190,8 @@ class TestIntegral:
     def test_bound_window_closed_form(self):
         # integral of sigma_{p,q} is -(p^2-1)(q^2-1)/(3pq), so the window
         # quantity is exactly 1/(pq); checked on every coprime pair, pq <= 150
-        pairs = [(p, q) for p in range(2, 13) for q in range(p + 1, 76) if gcd(p, q) == 1 and p * q <= 150]
-        assert len(pairs) == 139
-        for p, q in pairs:
+        assert len(WINDOW_PAIRS) == 139
+        for p, q in WINDOW_PAIRS:
             cusp = Cusp(p, q)
             d = -3 * integral(torus_signature_function(cusp)) - m_number(cusp) - milnor_number(cusp)
             assert d == Fraction(1, p * q), (p, q)
