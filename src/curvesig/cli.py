@@ -18,7 +18,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .deformation import (
     DeformationScenario,
@@ -257,7 +256,8 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    text = Path(args.path).read_text(encoding="utf-8")
+    with open(args.path, encoding="utf-8") as f:
+        text = f.read()
     scenario = parse_scenario(text)
     report = full_report(scenario)
     print(serialize_report(report))
@@ -303,7 +303,8 @@ def _cusp_from_pair_text(text: str) -> Cusp:
 
 
 def _cusps_from_file(path: str) -> list[Cusp]:
-    data = _load_json(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as f:
+        data = _load_json(f.read())
     if not isinstance(data, list):
         raise ScenarioFormatError("cusp file must contain a JSON list of [p, q] pairs")
     return [_cusp_from_json(item, f"cusps[{i}]") for i, item in enumerate(data)]

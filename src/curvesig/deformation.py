@@ -26,12 +26,11 @@ Passing all checks never certifies that a deformation exists; the verdict
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .signature import torus_signature_function
-from .singularities import Cusp, m_number, milnor_number
+from .singularities import Cusp, _Record, m_number, milnor_number
 
 __all__ = [
     "DOUBLE_POINT_SIGNATURE",
@@ -64,8 +63,7 @@ def _count(value, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class DeformationScenario:
+class DeformationScenario(_Record):
     """Central cusp plus the singularities, double points and genus of a
     nearby generic fiber.  The order of the cusp list is irrelevant: every
     check is permutation-invariant."""
@@ -75,32 +73,35 @@ class DeformationScenario:
     double_points: int
     genus: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.central, Cusp):
-            raise TypeError(f"central singularity must be a Cusp, got {self.central!r}")
-        cusps = tuple(self.cusps)
+    def __init__(
+        self, central: Cusp, cusps: tuple[Cusp, ...], double_points: int, genus: int
+    ) -> None:
+        if not isinstance(central, Cusp):
+            raise TypeError(f"central singularity must be a Cusp, got {central!r}")
+        cusps = tuple(cusps)
         for c in cusps:
             if not isinstance(c, Cusp):
                 raise TypeError(f"fiber singularities must be Cusp, got {c!r}")
-        object.__setattr__(self, "cusps", cusps)
-        _count(self.double_points, "double_points")
-        _count(self.genus, "genus")
+        _count(double_points, "double_points")
+        _count(genus, "genus")
+        self.__dict__.update(central=central, cusps=cusps, double_points=double_points, genus=genus)
 
 
-@dataclass(frozen=True)
-class EqualityVerdict:
+class EqualityVerdict(_Record):
     """Integer equality check; left and right are the two exact sides."""
 
     left: int
     right: int
+
+    def __init__(self, left: int, right: int) -> None:
+        self.__dict__.update(left=left, right=right)
 
     @property
     def holds(self) -> bool:
         return self.left == self.right
 
 
-@dataclass(frozen=True)
-class SweepVerdict:
+class SweepVerdict(_Record):
     """Pointwise bound left(x) <= right checked at every midpoint of the
     common breakpoint refinement; witness is the midpoint with the largest
     left side (first such midpoint on ties), left its value there."""
@@ -108,6 +109,9 @@ class SweepVerdict:
     witness: Fraction
     left: int
     right: int
+
+    def __init__(self, witness: Fraction, left: int, right: int) -> None:
+        self.__dict__.update(witness=witness, left=left, right=right)
 
     @property
     def holds(self) -> bool:
@@ -118,12 +122,14 @@ class SweepVerdict:
         return self.right - self.left
 
 
-@dataclass(frozen=True)
-class RationalVerdict:
+class RationalVerdict(_Record):
     """Exact strict inequality left < right between rationals."""
 
     left: Fraction
     right: Fraction
+
+    def __init__(self, left: Fraction, right: Fraction) -> None:
+        self.__dict__.update(left=left, right=right)
 
     @property
     def holds(self) -> bool:
@@ -134,8 +140,7 @@ class RationalVerdict:
         return self.right - self.left
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(_Record):
     """All verdicts for one scenario; overall is derived, "admissible"
     exactly when every individual check holds."""
 
@@ -144,6 +149,22 @@ class ObstructionReport:
     signature_bound: SweepVerdict
     one_sided_bound: SweepVerdict
     m_number_bound: RationalVerdict
+
+    def __init__(
+        self,
+        betti: int,
+        genus_formula: EqualityVerdict,
+        signature_bound: SweepVerdict,
+        one_sided_bound: SweepVerdict,
+        m_number_bound: RationalVerdict,
+    ) -> None:
+        self.__dict__.update(
+            betti=betti,
+            genus_formula=genus_formula,
+            signature_bound=signature_bound,
+            one_sided_bound=one_sided_bound,
+            m_number_bound=m_number_bound,
+        )
 
     @property
     def admissible(self) -> bool:

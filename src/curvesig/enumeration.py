@@ -20,7 +20,6 @@ lexicographically, then genus, then double points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
@@ -32,7 +31,7 @@ from .deformation import (
     _count,
     full_report,
 )
-from .singularities import Cusp, m_number, milnor_number
+from .singularities import Cusp, _Record, m_number, milnor_number
 
 __all__ = [
     "SearchBudget",
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Record):
     """Search box for one central cusp.
 
     With `require_genus_formula` (the default) only fully admissible
@@ -56,19 +54,33 @@ class SearchBudget:
     central: Cusp
     max_genus: int
     max_double_points: int
-    require_genus_formula: bool = True
+    require_genus_formula: bool
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.central, Cusp):
-            raise TypeError(f"central singularity must be a Cusp, got {self.central!r}")
-        _count(self.max_genus, "max_genus")
-        _count(self.max_double_points, "max_double_points")
+    def __init__(
+        self,
+        central: Cusp,
+        max_genus: int,
+        max_double_points: int,
+        require_genus_formula: bool = True,
+    ) -> None:
+        if not isinstance(central, Cusp):
+            raise TypeError(f"central singularity must be a Cusp, got {central!r}")
+        _count(max_genus, "max_genus")
+        _count(max_double_points, "max_double_points")
+        self.__dict__.update(
+            central=central,
+            max_genus=max_genus,
+            max_double_points=max_double_points,
+            require_genus_formula=require_genus_formula,
+        )
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Record):
     scenario: DeformationScenario
     report: ObstructionReport
+
+    def __init__(self, scenario: DeformationScenario, report: ObstructionReport) -> None:
+        self.__dict__.update(scenario=scenario, report=report)
 
 
 def candidate_cusps(max_milnor: int) -> tuple[Cusp, ...]:
@@ -108,10 +120,11 @@ def enumerate_admissible(
     if candidates is None:
         pool = candidate_cusps(mu_central)
     else:
-        pool = tuple(sorted(set(candidates)))
-        for c in pool:
+        candidates = tuple(candidates)
+        for c in candidates:
             if not isinstance(c, Cusp):
                 raise TypeError(f"candidates must be Cusp descriptors, got {c!r}")
+        pool = tuple(sorted(set(candidates)))
     m_central = m_number(central)
     loosest_m_bound = 8 * budget.max_genus + 2 * budget.max_double_points + M_BOUND_SLACK
 

@@ -31,13 +31,12 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import index
 
-from .singularities import Cusp
+from .singularities import Cusp, _Record
 
 __all__ = [
     "BreakpointEvaluation",
@@ -71,28 +70,28 @@ def _unit_point(x) -> Fraction:
     # floats are binary approximations; exactness is the point of this module
     if isinstance(x, float):
         raise TypeError(f"expected an exact rational, got float {x!r}")
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError(f"argument {x} outside the open interval (0, 1)")
     return x
 
 
-@dataclass(frozen=True)
-class JumpSet:
+class JumpSet(_Record):
     """Sorted set of signature jump locations inside (0, 2)."""
 
     elements: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        for e in self.elements:
+    def __init__(self, elements: tuple[Fraction, ...]) -> None:
+        for e in elements:
             if not isinstance(e, Fraction):
                 raise TypeError(f"jump locations must be Fraction, got {e!r}")
             if not 0 < e < 2:
                 raise ValueError(f"jump location {e} outside the open interval (0, 2)")
-        elements = tuple(sorted(self.elements))
+        elements = tuple(sorted(elements))
         if any(e1 == e2 for e1, e2 in zip(elements, elements[1:])):
             raise ValueError("jump locations must be distinct")
-        object.__setattr__(self, "elements", elements)
+        self.__dict__.update(elements=elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -105,8 +104,7 @@ class JumpSet:
         return i < len(self.elements) and self.elements[i] == x
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(_Record):
     """Integer-valued piecewise constant function on (0, 1).
 
     `values[i]` is the value on the i-th open interval cut out of (0, 1) by
@@ -119,9 +117,9 @@ class StepFunction:
     breakpoints: tuple[Fraction, ...]
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        breakpoints = tuple(self.breakpoints)
-        values = tuple(self.values)
+    def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[int, ...]) -> None:
+        breakpoints = tuple(breakpoints)
+        values = tuple(values)
         if len(values) != len(breakpoints) + 1:
             raise ValueError(
                 f"{len(breakpoints)} breakpoints require {len(breakpoints) + 1} "
@@ -146,8 +144,7 @@ class StepFunction:
                 continue
             merged_b.append(b)
             merged_v.append(right_value)
-        object.__setattr__(self, "breakpoints", tuple(merged_b))
-        object.__setattr__(self, "values", tuple(merged_v))
+        self.__dict__.update(breakpoints=tuple(merged_b), values=tuple(merged_v))
 
     def value_at(self, x) -> int:
         """Value on the open interval containing x, for x in (0, 1)."""
@@ -221,20 +218,19 @@ def integral(f: StepFunction) -> Fraction:
     return f.integral()
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(_Record):
     """Square integer matrix; no symmetry is assumed."""
 
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
         # operator.index accepts any true integer type but refuses floats
-        rows = tuple(tuple(index(e) for e in row) for row in self.entries)
+        rows = tuple(tuple(index(e) for e in row) for row in entries)
         if not rows:
             raise ValueError("matrix must have at least one row")
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", rows)
+        self.__dict__.update(entries=rows)
 
     @property
     def size(self) -> int:

@@ -8,13 +8,17 @@ approximated.
 
 All invariants are exact: integers, or `fractions.Fraction` values in lowest
 terms.  No floating point enters this module.
+
+`_Record` is the base of every value type: an immutable record of its
+annotated fields, equal only to records of its own type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
+from operator import attrgetter
 
 __all__ = [
     "Cusp",
@@ -27,36 +31,73 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Cusp:
+class _Record:
+    """Immutable value whose annotated fields, in order, are its constructor
+    parameters.  Each subclass defines `__init__`, which validates its
+    arguments and stores them once through `__dict__`.  A record equals only
+    records of its own type with equal fields."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        inherited = getattr(cls, "__match_args__", ())
+        fields = inherited + tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__match_args__ = fields
+        # attrgetter returns a tuple for two or more names and the bare value
+        # for one; either serves as the key of equality and hashing
+        cls._key = staticmethod(attrgetter(*fields) if fields else lambda record: ())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Cusp(_Record):
     """The cuspidal singularity {x^p = y^q} with gcd(p, q) = 1 and p, q >= 2.
 
     The constructor normalises the exponents so that p <= q; (p, q) and
-    (q, p) describe the same germ up to a coordinate swap.
+    (q, p) describe the same germ up to a coordinate swap.  Cusps are
+    ordered by (p, q).
     """
 
     p: int
     q: int
 
-    def __post_init__(self) -> None:
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int) -> None:
         if not isinstance(p, int) or not isinstance(q, int):
             raise TypeError(f"exponents must be integers, got ({p!r}, {q!r})")
         if p > q:
             p, q = q, p
-            object.__setattr__(self, "p", p)
-            object.__setattr__(self, "q", q)
         if p < 2:
             raise ValueError(f"exponents must both be at least 2, got ({p}, {q})")
         if gcd(p, q) != 1:
             raise ValueError(f"p and q must be coprime, got ({p}, {q})")
+        self.__dict__.update(p=p, q=q)
+
+    def __lt__(self, other):
+        if type(other) is not Cusp:
+            return NotImplemented
+        return (self.p, self.q) < (other.p, other.q)
 
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class OrdinaryDoublePoint:
+class OrdinaryDoublePoint(_Record):
     """A node: two smooth branches meeting transversally (link: Hopf link)."""
 
     def __str__(self) -> str:

@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -197,3 +198,12 @@ class TestBudgetValidation:
     def test_rejects_non_cusp_central(self):
         with pytest.raises(TypeError):
             SearchBudget("A2", 0, 0)
+
+
+class TestCandidateValidation:
+    @pytest.mark.parametrize("bad", [(2, 5), 7, [2, 5]], ids=["tuple", "int", "list"])
+    def test_rejects_non_cusp_candidates_before_sorting(self, bad):
+        budget = SearchBudget(A2, 0, 0)
+        message = f"candidates must be Cusp descriptors, got {bad!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            count_admissible(budget, candidates=[A2, bad])
