@@ -15,9 +15,10 @@ involved are step functions, checking them at the midpoints of the common
 breakpoint refinement is equivalent and exact.  Ordinary double points
 contribute the constant -1 to every signature sum.
 
-Both sweeps share one pass that evaluates each distinct fiber cusp once per
-midpoint, weighted by its multiplicity.  Verdicts store only their exact
-sides (and witness); `holds` and a report's `overall` are derived from them.
+Both sweeps share one pass that merges the integer signature events of
+each distinct cusp, weighted by its multiplicity, into a running sum of
+sigma_0 - sum_k sigma_k.  Verdicts store only their exact sides (and
+witness); `holds` and a report's `overall` are derived from them.
 
 Passing all checks never certifies that a deformation exists; the verdict
 "admissible" only means "not obstructed by these criteria".
@@ -27,9 +28,11 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Iterable
 
-from .signature import torus_signature_function
+from .signature import _events
 from .singularities import Cusp, _Record, m_number, milnor_number
 
 __all__ = [
@@ -197,35 +200,34 @@ def check_genus_formula(scenario: DeformationScenario) -> EqualityVerdict:
 
 
 def _sweeps(scenario: DeformationScenario) -> tuple[SweepVerdict, SweepVerdict]:
-    """(signature bound, one-sided bound), swept together over the midpoints
-    of the maximal intervals cut out of (0, 1) by the union of all
-    breakpoints of the central and fiber cusp signature functions.
+    """(signature bound, one-sided bound), swept together over the intervals
+    cut out of (0, 1) by all breakpoints of the central and fiber cusps.
 
-    Step functions are constant on each such interval, so evaluating a
-    pointwise bound at these midpoints decides it everywhere off the
-    breakpoints.  Double points are constant in x and contribute none.
+    Each distinct cusp's events are scaled to the denominator D = lcm(pq)
+    and weighted by +1 as the central cusp and -1 per fiber copy; a cusp of
+    net weight 0 still cuts the intervals.  One sort and a running sum give
+    a = sigma_0 - sum_k sigma_k per interval; the witness is the midpoint of
+    the first interval with the largest left side.
     """
-    central = torus_signature_function(scenario.central)
-    fiber = [(torus_signature_function(c), n) for c, n in Counter(scenario.cusps).items()]
-    points = set(central.breakpoints)
-    for fn, _ in fiber:
-        points.update(fn.breakpoints)
-    grid = [Fraction(0), *sorted(points), Fraction(1)]
+    weights = Counter({scenario.central: 1})
+    weights.subtract(scenario.cusps)
+    denominator = lcm(*(c.p * c.q for c in weights))
+    steps = Counter()
+    for cusp, weight in weights.items():
+        scale = denominator // (cusp.p * cusp.q)
+        steps.update({n * scale: weight * step for n, step in _events(cusp)})
+    positions, deltas = zip(*sorted(steps.items()))
+    cuts = (0, *positions, denominator)
+    a = list(accumulate(deltas, initial=0))
+
+    def verdict(left: list[int], right: int) -> SweepVerdict:
+        i = max(range(len(left)), key=left.__getitem__)  # the first maximiser
+        return SweepVerdict(Fraction(cuts[i] + cuts[i + 1], 2 * denominator), left[i], right)
+
     nodes = DOUBLE_POINT_SIGNATURE * scenario.double_points
-    two_sided = one_sided = None
-    for lo, hi in zip(grid, grid[1:]):
-        x = (lo + hi) / 2
-        sigma_0 = central.value_at(x)
-        sigma_fiber = sum(n * fn.value_at(x) for fn, n in fiber)
-        left = abs(sigma_0 - (sigma_fiber + nodes))
-        if two_sided is None or left > two_sided[1]:
-            two_sided = (x, left)
-        left = sigma_0 - sigma_fiber
-        if one_sided is None or left > one_sided[1]:
-            one_sided = (x, left)
     return (
-        SweepVerdict(*two_sided, betti_number(scenario)),
-        SweepVerdict(*one_sided, 2 * scenario.genus),
+        verdict([abs(v - nodes) for v in a], betti_number(scenario)),
+        verdict(a, 2 * scenario.genus),
     )
 
 

@@ -31,6 +31,7 @@ from .deformation import (
     _count,
     full_report,
 )
+from .signature import _events
 from .singularities import Cusp, _Record, m_number, milnor_number
 
 __all__ = [
@@ -116,6 +117,7 @@ def enumerate_admissible(
     Re-running produces identical output.
     """
     central = budget.central
+    _events(central)  # refuses a central cusp over the Milnor cap before the pool is listed
     mu_central = milnor_number(central)
     if candidates is None:
         pool = candidate_cusps(mu_central)

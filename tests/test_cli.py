@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,41 @@ class TestCheckCommand:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestMilnorCap:
+    HUGE = "9999999999999999999999"
+
+    @pytest.fixture
+    def deadline(self):
+        # each command used to run without end; fail it after two seconds
+        def expire(signum, frame):
+            pytest.fail("command still running after 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        yield
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["signature", HUGE, "7"],
+            ["signature", HUGE, "7", "--at", "1/2"],
+            ["check", "huge.json"],
+            ["enumerate", HUGE, "7", "--max-genus", "1", "--max-double-points", "1"],
+        ],
+        ids=["signature", "signature-at", "check", "enumerate"],
+    )
+    def test_huge_cusp_is_status_two_at_once(self, tmp_path, monkeypatch, capsys, deadline, argv):
+        scenario = {"central": [7, int(self.HUGE)], "cusps": [[2, 3]], "double_points": 0, "genus": 0}
+        (tmp_path / "huge.json").write_text(json.dumps(scenario))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "above the cap of 100000" in err
+        assert err.count("\n") == 1
 
 
 class TestScenarioParsing:

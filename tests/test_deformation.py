@@ -237,22 +237,10 @@ class TestSweepSufficiency:
             )
             assert resweep == worst
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_repeated_cusps_match_per_copy_reference(self, seed):
-        # both sweeps weight each distinct cusp by its multiplicity; the
-        # reference evaluates every copy separately at every midpoint
-        rng = random.Random(2000 + seed)
-        if seed == 0:
-            cusps = [A2] * 12 + [Cusp(3, 4)] * 3 + [A4]
-        else:
-            pool = [A2, A4, A6, Cusp(3, 4), Cusp(3, 5)]
-            cusps = [rng.choice([A2, A4, Cusp(3, 4)])] * rng.randint(5, 12)
-            cusps += [rng.choice(pool) for _ in range(rng.randint(0, 4))]
-            rng.shuffle(cusps)
-        scenario = DeformationScenario(
-            rng.choice([Cusp(2, 31), Cusp(5, 7), Cusp(4, 9)]), tuple(cusps), rng.randint(0, 3), rng.randint(0, 2)
-        )
-        assert max(Counter(scenario.cusps).values()) >= 5
+    @staticmethod
+    def assert_matches_per_copy_reference(scenario):
+        # the reference evaluates every copy of every cusp separately at every
+        # midpoint of the common refinement and keeps the first maximiser
         points = set()
         for cusp in {scenario.central, *scenario.cusps}:
             points.update(torus_signature_function(cusp).breakpoints)
@@ -275,6 +263,42 @@ class TestSweepSufficiency:
         report = full_report(scenario)
         assert report.signature_bound == check_signature_bound(scenario)
         assert report.one_sided_bound == check_one_sided_bound(scenario)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_cusps_match_per_copy_reference(self, seed):
+        # both sweeps weight each distinct cusp by its multiplicity
+        rng = random.Random(2000 + seed)
+        if seed == 0:
+            cusps = [A2] * 12 + [Cusp(3, 4)] * 3 + [A4]
+        else:
+            pool = [A2, A4, A6, Cusp(3, 4), Cusp(3, 5)]
+            cusps = [rng.choice([A2, A4, Cusp(3, 4)])] * rng.randint(5, 12)
+            cusps += [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+            rng.shuffle(cusps)
+        scenario = DeformationScenario(
+            rng.choice([Cusp(2, 31), Cusp(5, 7), Cusp(4, 9)]), tuple(cusps), rng.randint(0, 3), rng.randint(0, 2)
+        )
+        assert max(Counter(scenario.cusps).values()) >= 5
+        self.assert_matches_per_copy_reference(scenario)
+
+    @pytest.mark.parametrize(
+        "scenario,witness",
+        [
+            # the central cusp cancels against its fiber copy, net weight 0
+            (DeformationScenario(A4, (A4,), 0, 0), Fraction(1, 20)),
+            # the same, and 1/6 and 5/6 are breakpoints of both (2,3) and (2,9)
+            (DeformationScenario(Cusp(2, 9), (A2, Cusp(2, 9)), 1, 0), Fraction(2, 9)),
+            # the same, and 1/6 and 5/6 are breakpoints of both (2,3) and (3,4)
+            (DeformationScenario(Cusp(3, 4), (A2, A2, Cusp(3, 4)), 0, 1), Fraction(7, 24)),
+        ],
+        ids=["2,5-to-itself", "2,9-with-trefoil", "3,4-with-two-trefoils"],
+    )
+    def test_cancelling_cusps_still_cut_the_refinement(self, scenario, witness):
+        # a cusp whose weights cancel keeps its breakpoints; without them
+        # the first interval grows and the witness moves to 1/2
+        self.assert_matches_per_copy_reference(scenario)
+        assert check_signature_bound(scenario).witness == witness
+        assert check_one_sided_bound(scenario).witness == witness
 
 
 class TestSelfDeformation:

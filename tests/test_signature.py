@@ -7,10 +7,14 @@ import pytest
 from curvesig import (
     BreakpointEvaluation,
     Cusp,
+    DeformationScenario,
     NearSingularForm,
+    SearchBudget,
     SeifertMatrix,
     StepFunction,
     bidiagonal_seifert,
+    enumerate_admissible,
+    full_report,
     integral,
     jump_set,
     m_number,
@@ -19,6 +23,7 @@ from curvesig import (
     torus_signature_at,
     torus_signature_function,
 )
+from curvesig.signature import _MAX_MILNOR
 
 SMALL_PAIRS = [(p, q) for p in range(2, 7) for q in range(p + 1, 16) if gcd(p, q) == 1 and p * q <= 30]
 WINDOW_PAIRS = [(p, q) for p in range(2, 13) for q in range(p + 1, 76) if gcd(p, q) == 1 and p * q <= 150]
@@ -159,6 +164,31 @@ class TestTorusSignatureFunction:
         for b in fn.breakpoints:
             with pytest.raises(BreakpointEvaluation):
                 torus_signature_at(cusp, b)
+
+
+class TestMilnorCap:
+    # mu = 316 * 317 = 100 172, just above the cap
+    OVER_CAP = Cusp(317, 318)
+
+    def test_cap_admits_300_301(self):
+        assert milnor_number(Cusp(300, 301)) <= _MAX_MILNOR < milnor_number(self.OVER_CAP)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            jump_set,
+            torus_signature_function,
+            lambda c: torus_signature_at(c, Fraction(1, 2)),
+            lambda c: full_report(DeformationScenario(c, (Cusp(2, 3),), 0, 0)),
+            lambda c: full_report(DeformationScenario(Cusp(2, 3), (c,), 0, 0)),
+            # refused before the candidate pool of mu <= 100 172 is listed
+            lambda c: next(enumerate_admissible(SearchBudget(c, 0, 0))),
+        ],
+        ids=["jump_set", "function", "at", "central", "fiber", "enumerate"],
+    )
+    def test_every_route_refuses_a_cusp_over_the_cap(self, route):
+        with pytest.raises(ValueError, match=f"above the cap of {_MAX_MILNOR}"):
+            route(self.OVER_CAP)
 
 
 class TestIntegral:
