@@ -181,13 +181,12 @@ def serialize_report(report: ObstructionReport) -> str:
 def document_to_report(data: dict) -> ObstructionReport:
     """Rebuild a report from its document form (inverse of report_to_document).
 
-    Only the sides, witnesses and Betti number are read; the document must
-    then be exactly the rendering of the rebuilt report, JSON types included
-    (a margin 2.0 is not 2).
+    Only the sides and witnesses are read; the document must then be exactly
+    the rendering of the rebuilt report, JSON types included (a margin 2.0
+    is not 2), so "betti" must equal the signature bound's right side.
     """
     try:
         report = ObstructionReport(
-            betti=_strict_int(data["betti"]),
             genus_formula=EqualityVerdict(
                 _strict_int(data["genus_formula"]["left"]),
                 _strict_int(data["genus_formula"]["right"]),

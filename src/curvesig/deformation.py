@@ -18,7 +18,7 @@ contribute the constant -1 to every signature sum.
 Both sweeps share one pass that merges the integer signature events of
 each distinct cusp, weighted by its multiplicity, into a running sum of
 sigma_0 - sum_k sigma_k.  Verdicts store only their exact sides (and
-witness); `holds` and a report's `overall` are derived from them.
+witness); `holds` and a report's `overall` and `betti` are derived from them.
 
 Passing all checks never certifies that a deformation exists; the verdict
 "admissible" only means "not obstructed by these criteria".
@@ -144,10 +144,10 @@ class RationalVerdict(_Record):
 
 
 class ObstructionReport(_Record):
-    """All verdicts for one scenario; overall is derived, "admissible"
-    exactly when every individual check holds."""
+    """All verdicts for one scenario.  `overall` ("admissible" exactly when
+    every check holds) and `betti` (the signature bound's right side) are
+    derived."""
 
-    betti: int
     genus_formula: EqualityVerdict
     signature_bound: SweepVerdict
     one_sided_bound: SweepVerdict
@@ -155,19 +155,21 @@ class ObstructionReport(_Record):
 
     def __init__(
         self,
-        betti: int,
         genus_formula: EqualityVerdict,
         signature_bound: SweepVerdict,
         one_sided_bound: SweepVerdict,
         m_number_bound: RationalVerdict,
     ) -> None:
         self.__dict__.update(
-            betti=betti,
             genus_formula=genus_formula,
             signature_bound=signature_bound,
             one_sided_bound=one_sided_bound,
             m_number_bound=m_number_bound,
         )
+
+    @property
+    def betti(self) -> int:
+        return self.signature_bound.right
 
     @property
     def admissible(self) -> bool:
@@ -258,7 +260,6 @@ def full_report(scenario: DeformationScenario) -> ObstructionReport:
     """Run all four checks; both sweeps share one pass."""
     signature_bound, one_sided_bound = _sweeps(scenario)
     return ObstructionReport(
-        betti=betti_number(scenario),
         genus_formula=check_genus_formula(scenario),
         signature_bound=signature_bound,
         one_sided_bound=one_sided_bound,

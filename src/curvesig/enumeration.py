@@ -68,6 +68,8 @@ class SearchBudget(_Record):
             raise TypeError(f"central singularity must be a Cusp, got {central!r}")
         _count(max_genus, "max_genus")
         _count(max_double_points, "max_double_points")
+        if not isinstance(require_genus_formula, bool):
+            raise TypeError(f"require_genus_formula must be a bool, got {require_genus_formula!r}")
         self.__dict__.update(
             central=central,
             max_genus=max_genus,
@@ -90,10 +92,10 @@ def candidate_cusps(max_milnor: int) -> tuple[Cusp, ...]:
     p = 2
     while (p - 1) * p <= max_milnor:  # smallest partner is q = p + 1
         for q in range(p + 1, max_milnor // (p - 1) + 2):
-            if (p - 1) * (q - 1) <= max_milnor and gcd(p, q) == 1:
+            if gcd(p, q) == 1:
                 found.append(Cusp(p, q))
         p += 1
-    return tuple(sorted(found))
+    return tuple(found)
 
 
 def _emit_filter(report: ObstructionReport, budget: SearchBudget) -> bool:

@@ -7,16 +7,19 @@ by a counting formula over the jump set
 
 Each jump is n/(pq) for the integer numerator n = iq + jp, and for coprime
 p, q these numerators are pairwise distinct, so the module counts integers
-and builds a `Fraction` only to hand a breakpoint out.  The value at a
-non-jump x in (0, 1) is the number of jumps outside the open window
-(x, x+1) minus the number inside.  As x grows, a jump n < pq leaves the
-window at n/(pq) and raises the value by 2, and a jump n > pq enters it at
-(n - pq)/(pq) and lowers it by 2; the value starts at 0 because the jumps
-are symmetric about 1.  The step function is therefore one sort of these
-integer events and a running sum, and its integral over (0, 1) is an exact
-rational.  `torus_signature_at` counts the window directly instead, so it
-stays an oracle independent of the scan.  Values at the jumps themselves
-are undefined: evaluating there raises `BreakpointEvaluation` rather than
+and builds a `Fraction` only to hand a jump or a breakpoint out; `jump_set`
+is the sorted tuple of these fractions.  The value at a non-jump x in
+(0, 1) is the number of jumps outside the open window (x, x+1) minus the
+number inside.  As x grows, a jump n < pq leaves the window at n/(pq) and
+raises the value by 2, and a jump n > pq enters it at (n - pq)/(pq) and
+lowers it by 2; the value starts at 0 because the jumps are symmetric
+about 1.  The step function is therefore one sort of these integer events
+and a running sum, and its integral over (0, 1) is an exact rational.  The
+folded positions are distinct as well, so each breakpoint is a single jump
+and `StepFunction` accepts only strictly increasing breakpoints.
+`torus_signature_at` counts the window directly instead, so it stays an
+oracle independent of the scan.  Values at the jumps themselves are
+undefined: evaluating there raises `BreakpointEvaluation` rather than
 picking one of the competing averaging conventions.
 
 A second, floating-point route evaluates the signature of the Hermitian
@@ -41,7 +44,6 @@ from .singularities import Cusp, _Record
 __all__ = [
     "BreakpointEvaluation",
     "NearSingularForm",
-    "JumpSet",
     "StepFunction",
     "SeifertMatrix",
     "jump_set",
@@ -77,41 +79,14 @@ def _unit_point(x) -> Fraction:
     return x
 
 
-class JumpSet(_Record):
-    """Sorted set of signature jump locations inside (0, 2)."""
-
-    elements: tuple[Fraction, ...]
-
-    def __init__(self, elements: tuple[Fraction, ...]) -> None:
-        for e in elements:
-            if not isinstance(e, Fraction):
-                raise TypeError(f"jump locations must be Fraction, got {e!r}")
-            if not 0 < e < 2:
-                raise ValueError(f"jump location {e} outside the open interval (0, 2)")
-        elements = tuple(sorted(elements))
-        if any(e1 == e2 for e1, e2 in zip(elements, elements[1:])):
-            raise ValueError("jump locations must be distinct")
-        self.__dict__.update(elements=elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x) -> bool:
-        i = bisect_left(self.elements, x)
-        return i < len(self.elements) and self.elements[i] == x
-
-
 class StepFunction(_Record):
     """Integer-valued piecewise constant function on (0, 1).
 
     `values[i]` is the value on the i-th open interval cut out of (0, 1) by
     the breakpoints, so there is exactly one more value than breakpoints.
     The value at a breakpoint itself is undefined; evaluating there raises
-    `BreakpointEvaluation`.  Duplicate breakpoints (a multiple jump) are
-    merged at construction by dropping the empty intervals between them.
+    `BreakpointEvaluation`.  Breakpoints are strictly increasing: a
+    duplicate would bound an empty interval, so it raises `ValueError`.
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -133,18 +108,9 @@ class StepFunction(_Record):
         for v in values:
             if not isinstance(v, int):
                 raise TypeError(f"interval values must be int, got {v!r}")
-        if any(b2 < b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
-            raise ValueError("breakpoints must be sorted")
-        merged_b: list[Fraction] = []
-        merged_v: list[int] = [values[0]]
-        for b, right_value in zip(breakpoints, values[1:]):
-            if merged_b and b == merged_b[-1]:
-                # the interval between equal breakpoints is empty; drop its value
-                merged_v[-1] = right_value
-                continue
-            merged_b.append(b)
-            merged_v.append(right_value)
-        self.__dict__.update(breakpoints=tuple(merged_b), values=tuple(merged_v))
+        if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        self.__dict__.update(breakpoints=breakpoints, values=values)
 
     def value_at(self, x) -> int:
         """Value on the open interval containing x, for x in (0, 1)."""
@@ -184,10 +150,11 @@ def _events(cusp: Cusp) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((n, 2) if n < pq else (n - pq, -2) for n in _numerators(cusp)))
 
 
-def jump_set(cusp: Cusp) -> JumpSet:
-    """Jump set {i/p + j/q : 1 <= i < p, 1 <= j < q} of the (p, q) torus knot."""
+def jump_set(cusp: Cusp) -> tuple[Fraction, ...]:
+    """Jump set {i/p + j/q : 1 <= i < p, 1 <= j < q} of the (p, q) torus knot,
+    as a sorted tuple of mu distinct fractions inside (0, 2)."""
     pq = cusp.p * cusp.q
-    return JumpSet(tuple(Fraction(n, pq) for n in _numerators(cusp)))
+    return tuple(Fraction(n, pq) for n in sorted(_numerators(cusp)))
 
 
 def torus_signature_at(cusp: Cusp, x) -> int:
@@ -211,13 +178,12 @@ def torus_signature_at(cusp: Cusp, x) -> int:
     return len(scaled) - 2 * inside
 
 
-@lru_cache(maxsize=None)
 def torus_signature_function(cusp: Cusp) -> StepFunction:
     """The map x -> signature at exp(2*pi*i*x) as an exact step function.
 
     Breakpoints are the jump locations folded into (0, 1): n/(pq) for
     numerators n < pq and (n - pq)/(pq) for n > pq (no jump sits at 1 when
-    p and q are coprime).  Crossing the first kind raises the value by 2,
+    p and q are coprime, and no two fold to one point).  Crossing the first kind raises the value by 2,
     crossing the second lowers it by 2, and the value starts at 0.
     """
     pq = cusp.p * cusp.q

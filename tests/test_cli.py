@@ -367,6 +367,7 @@ class TestReportDocuments:
             (("m_number_bound", "right"), "74/9 "),
             (("m_number_bound", "right"), "148/18"),
             (("betti", ), True),
+            (("betti", ), 5),
             (("colour",), "red"),
         ],
     )

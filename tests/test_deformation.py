@@ -174,6 +174,14 @@ class TestFullReport:
         assert report.m_number_bound.holds
         assert report.betti == 1
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [CUSP_TO_NODE, A6_TO_THREE_A2, DeformationScenario(A6, (), 3, 2)],
+    )
+    def test_betti_is_the_signature_bound_right_side(self, scenario):
+        report = full_report(scenario)
+        assert report.betti == report.signature_bound.right == betti_number(scenario)
+
     def test_growing_cusp_obstructed_by_genus_formula(self):
         report = full_report(DeformationScenario(A2, (A4,), 0, 0))
         assert report.overall == "obstructed"

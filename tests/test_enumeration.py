@@ -79,6 +79,10 @@ class TestCandidateCusps:
         assert list(pool) == sorted(pool)
         assert all(milnor_number(c) <= 20 for c in pool)
 
+    def test_emitted_in_p_q_order(self):
+        for n in range(201):
+            assert candidate_cusps(n) == tuple(sorted(candidate_cusps(n)))
+
     def test_misses_nothing(self):
         pool = set(candidate_cusps(24))
         for p in range(2, 27):
@@ -198,6 +202,11 @@ class TestBudgetValidation:
     def test_rejects_non_cusp_central(self):
         with pytest.raises(TypeError):
             SearchBudget("A2", 0, 0)
+
+    @pytest.mark.parametrize("flag", ["False", None, 0], ids=["str", "None", "int"])
+    def test_rejects_non_bool_genus_formula_flag(self, flag):
+        with pytest.raises(TypeError, match="require_genus_formula must be a bool"):
+            SearchBudget(A2, 1, 2, flag)
 
 
 class TestCandidateValidation:

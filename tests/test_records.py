@@ -12,7 +12,6 @@ from curvesig import (
     Cusp,
     DeformationScenario,
     EqualityVerdict,
-    JumpSet,
     ObstructionReport,
     OrdinaryDoublePoint,
     RationalVerdict,
@@ -25,7 +24,6 @@ from curvesig import (
 
 SCENARIO = DeformationScenario(Cusp(2, 7), (Cusp(2, 3),), 1, 0)
 REPORT_ARGS = (
-    1,
     EqualityVerdict(6, 4),
     SweepVerdict(Fraction(1, 2), 3, 1),
     SweepVerdict(Fraction(1, 4), 2, 0),
@@ -37,7 +35,6 @@ REPORT = ObstructionReport(*REPORT_ARGS)
 SAMPLES = [
     (Cusp, (2, 3)),
     (OrdinaryDoublePoint, ()),
-    (JumpSet, ((Fraction(5, 6), Fraction(7, 6)),)),
     (StepFunction, ((Fraction(1, 2),), (0, 2))),
     (SeifertMatrix, (((-1, 1), (0, -1)),)),
     (DeformationScenario, (Cusp(2, 7), (Cusp(2, 3),), 1, 0)),
