@@ -250,7 +250,8 @@ def check_one_sided_bound(scenario: DeformationScenario) -> SweepVerdict:
 
 def check_m_number_bound(scenario: DeformationScenario) -> RationalVerdict:
     """sum of fiber-cusp M numbers minus the central M number < 8g + 2R + 2/9,
-    strictly; equality counts as violated."""
+    strictly; equality counts as violated.  A double point has M = 0, so only
+    cusps enter the sum and the R double points enter through 2R alone."""
     left = sum((m_number(c) for c in scenario.cusps), Fraction(0)) - m_number(scenario.central)
     right = 8 * scenario.genus + 2 * scenario.double_points + M_BOUND_SLACK
     return RationalVerdict(left, right)
@@ -276,14 +277,12 @@ def bmy_check(p: int, q: int, cusps: Iterable[Cusp], double_points: int = 0) -> 
 
         sum_k M_k < p + q - p/q - q/p - 7/9 + 2 * double_points.
 
-    The right side equals M((p, q) cusp) + 2 * double_points + 2/9.
+    This is the genus-0 M-number bound of the (p, q) cusp deforming to the
+    given cusps and double points, with both sides shifted by M((p, q)); the
+    right side is M((p, q)) + 2 * double_points + 2/9.  A double point has
+    M = 0, so only the cusps enter the sum.
     """
-    target = Cusp(p, q)  # validates coprimality and p, q >= 2
-    cusps = tuple(cusps)
-    for c in cusps:
-        if not isinstance(c, Cusp):
-            raise TypeError(f"cusps must be Cusp descriptors, got {c!r}")
-    _count(double_points, "double_points")
-    left = sum((m_number(c) for c in cusps), Fraction(0))
-    right = m_number(target) + 2 * double_points + M_BOUND_SLACK
-    return RationalVerdict(left, right)
+    central = Cusp(p, q)  # validates coprimality and p, q >= 2
+    verdict = check_m_number_bound(DeformationScenario(central, cusps, double_points, 0))
+    shift = m_number(central)
+    return RationalVerdict(verdict.left + shift, verdict.right + shift)

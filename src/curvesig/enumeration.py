@@ -25,10 +25,10 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .deformation import (
-    M_BOUND_SLACK,
     DeformationScenario,
     ObstructionReport,
     _count,
+    check_m_number_bound,
     full_report,
 )
 from .signature import _events
@@ -129,8 +129,11 @@ def enumerate_admissible(
             if not isinstance(c, Cusp):
                 raise TypeError(f"candidates must be Cusp descriptors, got {c!r}")
         pool = tuple(sorted(set(candidates)))
-    m_central = m_number(central)
-    loosest_m_bound = 8 * budget.max_genus + 2 * budget.max_double_points + M_BOUND_SLACK
+    # the M-number bound of the empty fiber at the most generous budget point;
+    # adding a branch's M sum to its left side gives that branch's bound
+    loosest = check_m_number_bound(
+        DeformationScenario(central, (), budget.max_double_points, budget.max_genus)
+    )
 
     # preorder over an explicit stack, so no depth can raise RecursionError;
     # children are pushed in reverse so that they pop in canonical order
@@ -139,7 +142,7 @@ def enumerate_admissible(
         chosen, start, mu_sum, m_sum = stack.pop()
         if budget.require_genus_formula and mu_sum > mu_central:
             continue
-        if m_sum - m_central >= loosest_m_bound:
+        if m_sum + loosest.left >= loosest.right:
             continue
         for genus in range(budget.max_genus + 1):
             for double_points in range(budget.max_double_points + 1):

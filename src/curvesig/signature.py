@@ -251,7 +251,7 @@ def seifert_signature_at(
     here, on the first call; without it an ImportError names the extra.
     """
     x = _unit_point(x)
-    if tolerance <= 0:
+    if not tolerance > 0:  # also refuses NaN
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     try:
         import numpy as np

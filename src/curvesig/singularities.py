@@ -1,10 +1,11 @@
 """Plane curve singularity descriptors and their numeric invariants.
 
-Two kinds of singular germs are supported: unibranched singularities with a
-single Puiseux pair, written {x^p = y^q} for coprime p, q >= 2 (the link of
-such a germ is the (p, q) torus knot), and ordinary double points.  Anything
-more general is rejected at construction instead of being silently
-approximated.
+The singular germs are the unibranched singularities with a single Puiseux
+pair, written {x^p = y^q} for coprime p, q >= 2; the link of such a germ is
+the (p, q) torus knot.  Anything more general is rejected at construction
+instead of being silently approximated.  An ordinary double point has fixed
+invariants (Milnor number 1, M = M-bar = 0, signature -1), so a scenario
+carries double points as the count R and no descriptor exists for them.
 
 All invariants are exact: integers, or `fractions.Fraction` values in lowest
 terms.  No floating point enters this module.
@@ -22,8 +23,6 @@ from operator import attrgetter
 
 __all__ = [
     "Cusp",
-    "OrdinaryDoublePoint",
-    "Singularity",
     "milnor_number",
     "m_number",
     "m_bar_number",
@@ -39,12 +38,11 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        inherited = getattr(cls, "__match_args__", ())
-        fields = inherited + tuple(cls.__dict__.get("__annotations__", ()))
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls.__match_args__ = fields
         # attrgetter returns a tuple for two or more names and the bare value
         # for one; either serves as the key of equality and hashing
-        cls._key = staticmethod(attrgetter(*fields) if fields else lambda record: ())
+        cls._key = staticmethod(attrgetter(*fields))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -97,66 +95,45 @@ class Cusp(_Record):
         return f"({self.p},{self.q})"
 
 
-class OrdinaryDoublePoint(_Record):
-    """A node: two smooth branches meeting transversally (link: Hopf link)."""
-
-    def __str__(self) -> str:
-        return "node"
-
-
-Singularity = Cusp | OrdinaryDoublePoint
-
-
-def milnor_number(s: Singularity) -> int:
-    """Milnor number of the singularity.
+def milnor_number(s: Cusp) -> int:
+    """Milnor number of the cusp.
 
     For the cusp {x^p = y^q} this is (p - 1)(q - 1), which also counts the
     set {i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1} of signature jumps of
-    the (p, q) torus knot.  An ordinary double point has Milnor number 1.
+    the (p, q) torus knot.
     """
     if isinstance(s, Cusp):
         return (s.p - 1) * (s.q - 1)
-    if isinstance(s, OrdinaryDoublePoint):
-        return 1
     raise TypeError(f"not a singularity descriptor: {s!r}")
 
 
-def m_number(s: Singularity) -> Fraction:
+def m_number(s: Cusp) -> Fraction:
     """Fine codimension invariant M, as an exact rational.
 
-    M of the (p, q) cusp is p + q - p/q - q/p - 1; M of an ordinary double
-    point is 0.
+    M of the (p, q) cusp is p + q - p/q - q/p - 1.
     """
     if isinstance(s, Cusp):
         p, q = s.p, s.q
         return p + q - Fraction(p, q) - Fraction(q, p) - 1
-    if isinstance(s, OrdinaryDoublePoint):
-        return Fraction(0)
     raise TypeError(f"not a singularity descriptor: {s!r}")
 
 
-def m_bar_number(s: Singularity) -> int:
+def m_bar_number(s: Cusp) -> int:
     """Rough codimension invariant M-bar.
 
-    M-bar of the (p, q) cusp is p + q - ceil(p/q) - ceil(q/p) - 1; M-bar of
-    an ordinary double point is 0.
+    M-bar of the (p, q) cusp is p + q - ceil(p/q) - ceil(q/p) - 1.  The
+    constructor normalises p < q, so ceil(p/q) = 1 and only ceil(q/p) is
+    computed.
     """
     if isinstance(s, Cusp):
         p, q = s.p, s.q
-        return p + q - _ceil_div(p, q) - _ceil_div(q, p) - 1
-    if isinstance(s, OrdinaryDoublePoint):
-        return 0
+        return p + q - 2 - (-(-q // p))
     raise TypeError(f"not a singularity descriptor: {s!r}")
 
 
-def n_squared_defect(s: Singularity) -> Fraction:
+def n_squared_defect(s: Cusp) -> Fraction:
     """The difference m_bar_number(s) - m_number(s).
 
-    Always non-positive; strictly below -1/2 for every cusp, and exactly 0
-    for an ordinary double point.
+    Strictly below -1/2 for every cusp.
     """
     return m_bar_number(s) - m_number(s)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)

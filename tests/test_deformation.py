@@ -31,6 +31,8 @@ A6 = Cusp(2, 7)
 CUSP_TO_NODE = DeformationScenario(A2, (), 1, 0)
 A6_TO_THREE_A2 = DeformationScenario(A6, (A2, A2, A2), 0, 0)
 
+WINDOW_PAIRS = [(p, q) for p in range(2, 13) for q in range(p + 1, 76) if gcd(p, q) == 1 and p * q <= 150]
+
 
 def random_scenario(rng):
     pool = [A2, A4, A6, Cusp(3, 4), Cusp(3, 5)]
@@ -340,6 +342,19 @@ class TestBmyCheck:
         relaxed = bmy_check(3, 4, [A2, A2, A2], 1)
         assert not tight.holds and relaxed.holds
         assert relaxed.right - tight.right == 2
+
+    @pytest.mark.parametrize("p,q", WINDOW_PAIRS)
+    def test_matches_closed_form(self, p, q):
+        # the docstring's inequality, with M written out for each fiber cusp
+        rng = random.Random(p * 1000 + q)
+        pool = [A2, A4, A6, Cusp(3, 4), Cusp(3, 5), Cusp(p, q)]
+        cusps = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        sum_m = sum((c.p + c.q - Fraction(c.p, c.q) - Fraction(c.q, c.p) - 1 for c in cusps), Fraction(0))
+        for double_points in (0, 1, 2):
+            verdict = bmy_check(p, q, cusps, double_points)
+            right = p + q - Fraction(p, q) - Fraction(q, p) - Fraction(7, 9) + 2 * double_points
+            assert (verdict.left, verdict.right) == (sum_m, right)
+            assert verdict.holds == (sum_m < right)
 
     def test_rejects_non_coprime_bidegree(self):
         with pytest.raises(ValueError, match="coprime"):

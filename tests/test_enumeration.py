@@ -1,4 +1,6 @@
 import re
+from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -11,6 +13,7 @@ from curvesig import (
     count_admissible,
     enumerate_admissible,
     full_report,
+    m_number,
     milnor_number,
 )
 
@@ -35,15 +38,18 @@ def all_multisets_with_bounded_milnor_sum(candidates, max_milnor_sum):
     return multisets
 
 
-def brute_force_results(budget, candidates=None):
+def brute_force_results(budget, candidates=None, multisets=None):
     """Unpruned reference enumeration: materialise the whole box, filter by
-    the full report, sort by the canonical key."""
+    the full report, sort by the canonical key.  The multisets default to
+    those of the candidates with Milnor sum at most the central one."""
     if candidates is None:
         candidates = candidate_cusps(milnor_number(budget.central))
+    if multisets is None:
+        multisets = all_multisets_with_bounded_milnor_sum(
+            sorted(set(candidates)), milnor_number(budget.central)
+        )
     rows = []
-    for cusps in all_multisets_with_bounded_milnor_sum(
-        sorted(set(candidates)), milnor_number(budget.central)
-    ):
+    for cusps in multisets:
         for genus in range(budget.max_genus + 1):
             for double_points in range(budget.max_double_points + 1):
                 scenario = DeformationScenario(budget.central, cusps, double_points, genus)
@@ -148,20 +154,23 @@ class TestOracleEquivalence:
         assert pruned == brute_force_results(budget)
 
     def test_pruned_equals_brute_force_without_genus_formula(self):
-        budget = SearchBudget(
-            Cusp(2, 5), max_genus=0, max_double_points=1, require_genus_formula=False
-        )
-        # without the genus filter the Milnor sum is not capped, so restrict
-        # both sides to the same explicit candidate pool for comparability
-        pool = (A2,)
-        pruned = [r.scenario for r in enumerate_admissible(budget, candidates=pool)]
-        brute = brute_force_results(budget, candidates=pool)
-        assert set(brute).issubset(set(pruned))
-        for scenario in pruned:
-            report = full_report(scenario)
-            assert report.signature_bound.holds
-            assert report.one_sided_bound.holds
-            assert report.m_number_bound.holds
+        # without the genus filter the Milnor sum is not capped, but every
+        # cusp has M >= M(2, 3) = 11/6, so the M bound caps the multiset
+        # size; the pool holds the central cusp, whose self-deformation a
+        # prune that forgot M_0 would lose
+        pool = (A2, Cusp(2, 5))
+        for max_genus, max_double_points in [(0, 1), (1, 2)]:
+            budget = SearchBudget(
+                Cusp(2, 5), max_genus, max_double_points, require_genus_formula=False
+            )
+            loosest = m_number(budget.central) + 8 * max_genus + 2 * max_double_points + 1
+            multisets = [
+                cusps
+                for size in range(int(loosest / Fraction(11, 6)) + 1)
+                for cusps in combinations_with_replacement(pool, size)
+            ]
+            pruned = [r.scenario for r in enumerate_admissible(budget, candidates=pool)]
+            assert pruned == brute_force_results(budget, multisets=multisets)
 
 
 class TestCountAdmissible:

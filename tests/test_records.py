@@ -13,7 +13,6 @@ from curvesig import (
     DeformationScenario,
     EqualityVerdict,
     ObstructionReport,
-    OrdinaryDoublePoint,
     RationalVerdict,
     SearchBudget,
     SearchResult,
@@ -34,7 +33,6 @@ REPORT = ObstructionReport(*REPORT_ARGS)
 # each record type with positional arguments that construct it
 SAMPLES = [
     (Cusp, (2, 3)),
-    (OrdinaryDoublePoint, ()),
     (StepFunction, ((Fraction(1, 2),), (0, 2))),
     (SeifertMatrix, (((-1, 1), (0, -1)),)),
     (DeformationScenario, (Cusp(2, 7), (Cusp(2, 3),), 1, 0)),
@@ -71,9 +69,8 @@ class TestConstruction:
         cls, args = sample
         with pytest.raises(TypeError):
             cls(*args, 0)
-        if args:
-            with pytest.raises(TypeError):
-                cls()
+        with pytest.raises(TypeError):
+            cls()
 
     def test_search_budget_requires_genus_formula_by_default(self):
         assert SearchBudget(Cusp(2, 3), 1, 1).require_genus_formula is True

@@ -314,8 +314,9 @@ class TestSeifertSignature:
             seifert_signature_at(bidiagonal_seifert(3), near, tolerance=1e-3)
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            seifert_signature_at(bidiagonal_seifert(3), Fraction(1, 2), tolerance=0)
+        for tolerance in (0, float("nan")):
+            with pytest.raises(ValueError):
+                seifert_signature_at(bidiagonal_seifert(3), Fraction(1, 2), tolerance=tolerance)
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
     def test_matches_counting_formula_at_random_points(self, q):

@@ -5,7 +5,6 @@ import pytest
 
 from curvesig import (
     Cusp,
-    OrdinaryDoublePoint,
     m_bar_number,
     m_number,
     milnor_number,
@@ -52,7 +51,6 @@ class TestMilnorNumber:
     def test_frozen_examples(self):
         assert milnor_number(Cusp(2, 3)) == 2
         assert milnor_number(Cusp(2, 5)) == 4
-        assert milnor_number(OrdinaryDoublePoint()) == 1
 
     @pytest.mark.parametrize("p,q", COPRIME_PAIRS)
     def test_matches_jump_multiset_count(self, p, q):
@@ -67,7 +65,6 @@ class TestMNumber:
     def test_frozen_examples(self):
         assert m_number(Cusp(2, 3)) == Fraction(11, 6)
         assert m_number(Cusp(2, 7)) == Fraction(59, 14)
-        assert m_number(OrdinaryDoublePoint()) == 0
 
     def test_exact_type(self):
         assert isinstance(m_number(Cusp(2, 3)), Fraction)
@@ -81,7 +78,6 @@ class TestMBarNumber:
     def test_frozen_examples(self):
         assert m_bar_number(Cusp(2, 3)) == 1
         assert m_bar_number(Cusp(2, 7)) == 3
-        assert m_bar_number(OrdinaryDoublePoint()) == 0
 
     @pytest.mark.parametrize("p,q", COPRIME_PAIRS[:40])
     def test_ceiling_formula(self, p, q):
@@ -92,7 +88,6 @@ class TestMBarNumber:
 class TestNSquaredDefect:
     def test_frozen_examples(self):
         assert n_squared_defect(Cusp(2, 3)) == Fraction(-5, 6)
-        assert n_squared_defect(OrdinaryDoublePoint()) == 0
 
     @pytest.mark.parametrize("p,q", COPRIME_PAIRS)
     def test_below_minus_one_half_for_cusps(self, p, q):
