@@ -14,22 +14,12 @@ overall, an unknown key or a non-canonical rational is an input error.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
 
-from .deformation import (
-    DeformationScenario,
-    EqualityVerdict,
-    ObstructionReport,
-    RationalVerdict,
-    SweepVerdict,
-    bmy_check,
-    full_report,
-)
-from .enumeration import SearchBudget, count_admissible, enumerate_admissible
-from .signature import torus_signature_at, torus_signature_function
+# The other library modules and json are imported where they are used, so a
+# cold process loads only what its subcommand runs.
 from .singularities import Cusp, m_bar_number, m_number, milnor_number, n_squared_defect
 
 __all__ = [
@@ -81,12 +71,23 @@ def _document_rational(value: Fraction) -> str:
 
 
 def _load_json(text: str):
+    import json
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
     except RecursionError as err:
         raise ScenarioFormatError("JSON nested too deeply") from err
+
+
+def _object_without_repeats(pairs: list) -> dict:
+    # json.loads would keep the last of two equal keys without a word
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ScenarioFormatError(f"repeated key: {key}")
+        document[key] = value
+    return document
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,7 @@ def parse_scenario(text: str) -> DeformationScenario:
     "double_points": n, "genus": g}.  Unknown keys are rejected and every
     descriptor constraint is enforced here, with the offending key named.
     """
+    from .deformation import DeformationScenario
     data = _load_json(text)
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
@@ -175,6 +177,7 @@ def _sweep_to_document(verdict: SweepVerdict) -> dict:
 
 
 def serialize_report(report: ObstructionReport) -> str:
+    import json
     return json.dumps(report_to_document(report), indent=2)
 
 
@@ -185,6 +188,8 @@ def document_to_report(data: dict) -> ObstructionReport:
     the rendering of the rebuilt report, JSON types included (a margin 2.0
     is not 2), so "betti" must equal the signature bound's right side.
     """
+    import json
+    from .deformation import EqualityVerdict, ObstructionReport, RationalVerdict
     try:
         report = ObstructionReport(
             genus_formula=EqualityVerdict(
@@ -215,6 +220,7 @@ def parse_report(text: str) -> ObstructionReport:
 
 
 def _sweep_from_document(data: dict) -> SweepVerdict:
+    from .deformation import SweepVerdict
     return SweepVerdict(
         parse_rational(data["witness"]),
         _strict_int(data["left"]),
@@ -241,6 +247,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_signature(args) -> int:
+    from .signature import torus_signature_at, torus_signature_function
     cusp = Cusp(args.p, args.q)
     if args.at is not None:
         x = parse_rational(args.at)
@@ -255,6 +262,7 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .deformation import full_report
     with open(args.path, encoding="utf-8") as f:
         text = f.read()
     scenario = parse_scenario(text)
@@ -264,6 +272,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import SearchBudget, count_admissible, enumerate_admissible
     budget = SearchBudget(
         Cusp(args.p, args.q),
         args.max_genus,
@@ -281,6 +290,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bmy(args) -> int:
+    from .deformation import bmy_check
     cusps = [_cusp_from_pair_text(text) for text in args.cusps]
     if args.cusps_file is not None:
         cusps.extend(_cusps_from_file(args.cusps_file))

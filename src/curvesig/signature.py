@@ -31,12 +31,11 @@ exact routes need no numpy.
 
 from __future__ import annotations
 
-import cmath
-import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from operator import index
 
 from .singularities import Cusp, _Record
@@ -121,12 +120,14 @@ class StepFunction(_Record):
         return self.values[i]
 
     def integral(self) -> Fraction:
-        """Exact integral over (0, 1); breakpoints carry no measure."""
-        grid = (Fraction(0), *self.breakpoints, Fraction(1))
-        total = Fraction(0)
-        for i, v in enumerate(self.values):
-            total += v * (grid[i + 1] - grid[i])
-        return total
+        """Exact integral over (0, 1); breakpoints carry no measure.  By Abel
+        summation it is values[-1] - sum_k b_k * (values[k] - values[k-1]),
+        summed as integer numerators over the lcm of the denominators."""
+        values = self.values
+        common = lcm(*(b.denominator for b in self.breakpoints))
+        total = sum(b.numerator * (common // b.denominator) * (after - before)
+                    for b, before, after in zip(self.breakpoints, values, values[1:]))
+        return Fraction(values[-1] * common - total, common)
 
 
 # Largest Milnor number of a cusp whose signature is computed, checked in
@@ -253,11 +254,12 @@ def seifert_signature_at(
     x = _unit_point(x)
     if not tolerance > 0:  # also refuses NaN
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    import cmath
     try:
         import numpy as np
     except ImportError as err:
         raise ImportError("the Seifert cross-check needs numpy: install curvesig[oracle]") from err
-    z = cmath.exp(2j * math.pi * float(x))
+    z = cmath.exp(2j * cmath.pi * float(x))
     v = np.array(matrix.entries, dtype=np.complex128)
     form = (1 - z) * v + (1 - z.conjugate()) * v.T
     eigenvalues = np.linalg.eigvalsh(form)

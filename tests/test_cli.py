@@ -3,9 +3,11 @@ import random
 import re
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import curvesig
 from curvesig import Cusp, DeformationScenario, full_report
 from curvesig.cli import (
     ScenarioFormatError,
@@ -17,6 +19,7 @@ from curvesig.cli import (
     serialize_report,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 FLOAT_NOTATION = re.compile(r"\d\.\d|[0-9]e[+-]|\binf\b|\bnan\b")
 
 
@@ -145,6 +148,15 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", path)
         assert code == 2 and "color" in err
 
+    def test_repeated_key_is_status_two(self, tmp_path, capsys):
+        # json.loads alone keeps the last "central", and the (2, 5) check exits 1
+        path = self.write_scenario(
+            tmp_path, '{"central": [2, 3], "cusps": [[2, 3]], "double_points": 0, "genus": 0, "central": [2, 5]}'
+        )
+        code, out, err = run(capsys, "check", path)
+        assert code == 2 and out == ""
+        assert err == "error: repeated key: central\n"
+
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path, '{"central": [2, 3],\n  "cusps": }')
         code, _, err = run(capsys, "check", path)
@@ -232,6 +244,7 @@ class TestScenarioParsing:
             '{"central": [2, 3], "cusps": [], "double_points": -1, "genus": 0}',
             '{"central": [2, 3], "cusps": [], "double_points": 0, "genus": true}',
             '{"central": [2, 3], "cusps": 3, "double_points": 0, "genus": 0}',
+            '{"central": [2, 3], "cusps": [], "double_points": 0, "genus": 0, "central": [2, 5]}',
         ],
     )
     def test_rejects_malformed_documents(self, payload):
@@ -389,6 +402,10 @@ class TestReportDocuments:
             parse_report("[]")
         with pytest.raises(ScenarioFormatError):
             parse_report('{"betti": 0}')
+        text = serialize_report(full_report(DeformationScenario(Cusp(2, 3), (), 1, 0)))
+        assert '"overall": "admissible"' in text
+        with pytest.raises(ScenarioFormatError, match="repeated key: overall"):
+            parse_report(text.replace('"overall"', '"overall": "obstructed",\n  "overall"'))
 
 
 class TestNoFloatNotation:
@@ -470,3 +487,81 @@ class TestImportPath:
         )
         assert proc.returncode == 0, proc.stderr
         assert "curvesig[oracle]" in proc.stdout
+
+    # what a cold `python -m curvesig.cli` loads: curvesig modules, then json
+    @pytest.mark.parametrize(
+        "argv,modules,loads_json",
+        [
+            (["invariants", "2", "3"], ["singularities"], False),
+            (["signature", "2", "5"], ["singularities", "signature"], False),
+            (["check", "bench/cli_inputs/mixed.json"], ["singularities", "signature", "deformation"], True),
+            (["bmy", "3", "4", "--cusps", "2,3"], ["singularities", "signature", "deformation"], False),
+            (["enumerate", "2", "7", "--count"], ["singularities", "signature", "deformation", "enumeration"], False),
+        ],
+        ids=["invariants", "signature", "check", "bmy", "enumerate"],
+    )
+    def test_command_loads_only_the_modules_it_runs(self, run_cli, argv, modules, loads_json):
+        proc = run_cli(argv)
+        assert proc.returncode in (0, 1), proc.stderr
+        loaded = {
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {name for name in loaded if name.startswith("curvesig.")} == {f"curvesig.{m}" for m in modules}
+        assert ("json" in loaded) == loads_json
+        assert "cmath" not in loaded
+
+    def test_bare_import_loads_no_module(self, run_python):
+        proc = run_python(
+            "import sys\nimport curvesig\n"
+            "loaded = lambda: sorted(name for name in sys.modules if name.startswith('curvesig.'))\n"
+            "print(loaded())\ncurvesig.Cusp\nprint(loaded())\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "['curvesig.singularities']"]
+
+    def test_namespace_lists_every_module_name_in_order(self, run_python):
+        from curvesig import deformation, enumeration, signature, singularities
+
+        expected = ["__version__"]
+        for module in (singularities, signature, deformation, enumeration):
+            expected += module.__all__
+        assert len(expected) == 36 and curvesig.__all__ == expected
+        proc = run_python(
+            "import json\nnamespace = {}\nexec('from curvesig import *', namespace)\nimport curvesig\n"
+            "print(json.dumps([curvesig.__all__, sorted(set(namespace) - {'__builtins__'}), dir(curvesig)]))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        cold_all, star, listed = json.loads(proc.stdout)
+        assert cold_all == expected
+        assert star == sorted(expected)
+        assert set(expected) <= set(listed)
+
+    def test_module_attribute_and_unknown_name(self, run_python):
+        proc = run_python(
+            "import curvesig\n"
+            "print(curvesig.deformation.full_report is curvesig.full_report)\n"
+            "try:\n    curvesig.no_such_name\nexcept AttributeError as err:\n    print(err)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["True", "module 'curvesig' has no attribute 'no_such_name'"]
+
+    # tests/test_golden.py replays in process, where every module is loaded
+    # already, so it cannot see an import missing from a cold process
+    COLD_REPLAYS = [
+        "invariants 2 3",
+        "invariants 2",
+        "signature 2 5",
+        "signature 3 7 --at 2/5",
+        "check bench/cli_inputs/mixed.json",
+        "check bench/cli_inputs/bad_json.json",
+        "enumerate 2 7 --max-genus 0 --max-double-points 1",
+        "bmy 3 4 --cusps 2,3 2,3 2,3 --double-points 0",
+    ]
+
+    @pytest.mark.parametrize("command", COLD_REPLAYS)
+    def test_cold_process_replays_golden_output(self, run_cli, command):
+        golden = {" ".join(c["args"]): c for c in json.loads((ROOT / "bench" / "expected" / "cli.json").read_text())}
+        proc = run_cli(command.split())
+        assert (proc.returncode, proc.stdout) == (golden[command]["status"], golden[command]["stdout"])

@@ -200,6 +200,26 @@ class TestIntegral:
         )
         assert integral(fn) == riemann
 
+    @staticmethod
+    def per_interval_sum(fn: StepFunction) -> Fraction:
+        # the reference: one Fraction product per interval of the grid
+        grid = (Fraction(0), *fn.breakpoints, Fraction(1))
+        return sum((v * (grid[i + 1] - grid[i]) for i, v in enumerate(fn.values)), Fraction(0))
+
+    def test_matches_per_interval_sum_on_mixed_denominators(self):
+        rng = random.Random(13)
+        for n in [0, 0, 1, 2, 3, 5, 8, 13, 40] * 20:
+            breakpoints = set()
+            while len(breakpoints) < n:
+                denominator = rng.randint(2, 400)
+                breakpoints.add(Fraction(rng.randint(1, denominator - 1), denominator))
+            values = [rng.randint(-50, 50) for _ in range(n + 1)]
+            fn = StepFunction(tuple(sorted(breakpoints)), tuple(values))
+            assert fn.integral() == self.per_interval_sum(fn), fn
+        for p, q in [(2, 5), (7, 11), (13, 20), (30, 61)]:
+            fn = torus_signature_function(Cusp(p, q))
+            assert fn.integral() == self.per_interval_sum(fn), (p, q)
+
     @pytest.mark.parametrize("p,q", SMALL_PAIRS)
     def test_bound_window(self, p, q):
         # spot check of the exact identity window on a small grid; the
