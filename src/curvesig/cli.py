@@ -28,7 +28,6 @@ __all__ = [
     "format_rational",
     "parse_scenario",
     "report_to_document",
-    "document_to_report",
     "serialize_report",
     "parse_report",
     "build_parser",
@@ -181,8 +180,8 @@ def serialize_report(report: ObstructionReport) -> str:
     return json.dumps(report_to_document(report), indent=2)
 
 
-def document_to_report(data: dict) -> ObstructionReport:
-    """Rebuild a report from its document form (inverse of report_to_document).
+def parse_report(text: str) -> ObstructionReport:
+    """Rebuild a report from its document (inverse of serialize_report).
 
     Only the sides and witnesses are read; the document must then be exactly
     the rendering of the rebuilt report, JSON types included (a margin 2.0
@@ -190,6 +189,9 @@ def document_to_report(data: dict) -> ObstructionReport:
     """
     import json
     from .deformation import EqualityVerdict, ObstructionReport, RationalVerdict
+    data = _load_json(text)
+    if not isinstance(data, dict):
+        raise ScenarioFormatError("report must be a JSON object")
     try:
         report = ObstructionReport(
             genus_formula=EqualityVerdict(
@@ -210,13 +212,6 @@ def document_to_report(data: dict) -> ObstructionReport:
     if not consistent:
         raise ScenarioFormatError("report document is not the rendering of its own sides")
     return report
-
-
-def parse_report(text: str) -> ObstructionReport:
-    data = _load_json(text)
-    if not isinstance(data, dict):
-        raise ScenarioFormatError("report must be a JSON object")
-    return document_to_report(data)
 
 
 def _sweep_from_document(data: dict) -> SweepVerdict:

@@ -13,12 +13,15 @@ witness values:
 The two signature conditions hold for almost all x; since all functions
 involved are step functions, checking them at the midpoints of the common
 breakpoint refinement is equivalent and exact.  Ordinary double points
-contribute the constant -1 to every signature sum.
+contribute the constant -1 to every signature sum.  They drop out of the
+one-sided bound: their -1 cancels the R part of the Betti number 2g + R,
+leaving only the genus on the right side.
 
-Both sweeps share one pass that merges the integer signature events of
-each distinct cusp, weighted by its multiplicity, into a running sum of
-sigma_0 - sum_k sigma_k.  Verdicts store only their exact sides (and
-witness); `holds` and a report's `overall` and `betti` are derived from them.
+`full_report` is the one route to the verdicts.  Both sweeps share one pass
+that merges the integer signature events of each distinct cusp, weighted by
+its multiplicity, into a running sum of sigma_0 - sum_k sigma_k.  Verdicts
+store only their exact sides (and witness); `holds` and a report's `overall`
+and `betti` are derived from them.
 
 Passing all checks never certifies that a deformation exists; the verdict
 "admissible" only means "not obstructed by these criteria".
@@ -43,10 +46,7 @@ __all__ = [
     "SweepVerdict",
     "RationalVerdict",
     "ObstructionReport",
-    "betti_number",
     "check_genus_formula",
-    "check_signature_bound",
-    "check_one_sided_bound",
     "check_m_number_bound",
     "full_report",
     "bmy_check",
@@ -185,11 +185,6 @@ class ObstructionReport(_Record):
         return "admissible" if self.admissible else "obstructed"
 
 
-def betti_number(scenario: DeformationScenario) -> int:
-    """First Betti number of the generic fiber: 2g + R."""
-    return 2 * scenario.genus + scenario.double_points
-
-
 def check_genus_formula(scenario: DeformationScenario) -> EqualityVerdict:
     """mu(central) = 2g + 2R + sum of mu over the fiber cusps, exactly."""
     left = milnor_number(scenario.central)
@@ -228,24 +223,9 @@ def _sweeps(scenario: DeformationScenario) -> tuple[SweepVerdict, SweepVerdict]:
 
     nodes = DOUBLE_POINT_SIGNATURE * scenario.double_points
     return (
-        verdict([abs(v - nodes) for v in a], betti_number(scenario)),
+        verdict([abs(v - nodes) for v in a], 2 * scenario.genus + scenario.double_points),
         verdict(a, 2 * scenario.genus),
     )
-
-
-def check_signature_bound(scenario: DeformationScenario) -> SweepVerdict:
-    """|sigma_0(x) - (sum_k sigma_k(x) - R)| <= 2g + R at every midpoint of
-    the common refinement; each double point contributes -1 to the fiber sum."""
-    return _sweeps(scenario)[0]
-
-
-def check_one_sided_bound(scenario: DeformationScenario) -> SweepVerdict:
-    """sum_k(-sigma_k(x)) + sigma_0(x) <= 2g at every midpoint.
-
-    Double points drop out: their -1 cancels against the R part of the
-    Betti number, leaving only the genus on the right side.
-    """
-    return _sweeps(scenario)[1]
 
 
 def check_m_number_bound(scenario: DeformationScenario) -> RationalVerdict:

@@ -14,6 +14,10 @@ running sums only grow along a branch:
     most generous budget point (max_genus, max_double_points) violates it
     for every budget point and every extension.
 
+When the genus formula is required, mu_0 = 2g + 2R + sum_k mu_k bounds g
+and R by mu_0 // 2, so the box is clamped there; a larger budget changes
+nothing.
+
 Output order is canonical and deterministic: multisets non-decreasing
 lexicographically, then genus, then double points.
 """
@@ -129,11 +133,13 @@ def enumerate_admissible(
             if not isinstance(c, Cusp):
                 raise TypeError(f"candidates must be Cusp descriptors, got {c!r}")
         pool = tuple(sorted(set(candidates)))
+    max_genus, max_double_points = budget.max_genus, budget.max_double_points
+    if budget.require_genus_formula:
+        max_genus = min(max_genus, mu_central // 2)
+        max_double_points = min(max_double_points, mu_central // 2)
     # the M-number bound of the empty fiber at the most generous budget point;
     # adding a branch's M sum to its left side gives that branch's bound
-    loosest = check_m_number_bound(
-        DeformationScenario(central, (), budget.max_double_points, budget.max_genus)
-    )
+    loosest = check_m_number_bound(DeformationScenario(central, (), max_double_points, max_genus))
 
     # preorder over an explicit stack, so no depth can raise RecursionError;
     # children are pushed in reverse so that they pop in canonical order
@@ -144,8 +150,8 @@ def enumerate_admissible(
             continue
         if m_sum + loosest.left >= loosest.right:
             continue
-        for genus in range(budget.max_genus + 1):
-            for double_points in range(budget.max_double_points + 1):
+        for genus in range(max_genus + 1):
+            for double_points in range(max_double_points + 1):
                 scenario = DeformationScenario(central, chosen, double_points, genus)
                 report = full_report(scenario)
                 if _emit_filter(report, budget):

@@ -25,8 +25,9 @@ picking one of the competing averaging conventions.
 A second, floating-point route evaluates the signature of the Hermitian
 form (1 - z) V + (1 - conj(z)) V^T for a Seifert matrix V.  Only the (2, q)
 family has a matrix generator here; the route exists to cross-check the
-counting formula, never to replace it, and it imports numpy lazily, so the
-exact routes need no numpy.
+counting formula, never to replace it.  It treats the form as degenerate,
+and raises, when its smallest eigenvalue is below a fixed 1e-9 of its
+largest.  It imports numpy lazily, so the exact routes need no numpy.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "integral",
     "bidiagonal_seifert",
     "seifert_signature_at",
-    "DEFAULT_DEGENERACY_TOLERANCE",
 ]
 
 
@@ -214,10 +214,6 @@ class SeifertMatrix(_Record):
             raise ValueError("matrix must be square")
         self.__dict__.update(entries=rows)
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
 
 def bidiagonal_seifert(q: int) -> SeifertMatrix:
     """Seifert matrix of the (2, q) torus knot for odd q >= 3.
@@ -235,25 +231,22 @@ def bidiagonal_seifert(q: int) -> SeifertMatrix:
     return SeifertMatrix(rows)
 
 
-DEFAULT_DEGENERACY_TOLERANCE = 1e-9
+# below this share of the largest eigenvalue magnitude the form is degenerate
+_DEGENERACY_TOLERANCE = 1e-9
 
 
-def seifert_signature_at(
-    matrix: SeifertMatrix, x, tolerance: float = DEFAULT_DEGENERACY_TOLERANCE
-) -> int:
+def seifert_signature_at(matrix: SeifertMatrix, x) -> int:
     """Signature of (1 - z) V + (1 - conj(z)) V^T at z = exp(2*pi*i*x).
 
     This is the floating-point cross-check of the exact counting route: the
     eigenvalues of the Hermitian form are computed numerically and counted
     by sign.  Raises `NearSingularForm` when the smallest eigenvalue
-    magnitude falls below `tolerance` times the largest (or the form
+    magnitude falls below the fixed 1e-9 times the largest (or the form
     vanishes outright), which signals that x sits too close to a jump of
     the signature function; the caller should perturb x.  numpy is imported
     here, on the first call; without it an ImportError names the extra.
     """
     x = _unit_point(x)
-    if not tolerance > 0:  # also refuses NaN
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     import cmath
     try:
         import numpy as np
@@ -265,7 +258,7 @@ def seifert_signature_at(
     eigenvalues = np.linalg.eigvalsh(form)
     magnitudes = np.abs(eigenvalues)
     largest = float(magnitudes.max())
-    if largest == 0.0 or float(magnitudes.min()) < tolerance * largest:
+    if largest == 0.0 or float(magnitudes.min()) < _DEGENERACY_TOLERANCE * largest:
         raise NearSingularForm(
             f"Hermitian form numerically degenerate at x = {x}; perturb x away from jumps"
         )

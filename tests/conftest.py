@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,17 @@ def run_cli():
     from the repository root.  Next to any diagnostics, stderr holds one
     `import time:` line for each module the process imported."""
     return lambda args: _run_child(["-X", "importtime", "-m", "curvesig.cli", *args])
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test if it still runs after two seconds: for calls that
+    used to run without end, so that a regression fails instead of hanging."""
+    def expire(signum, frame):
+        pytest.fail("still running after 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)

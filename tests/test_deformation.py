@@ -12,12 +12,9 @@ from curvesig import (
     EqualityVerdict,
     RationalVerdict,
     SweepVerdict,
-    betti_number,
     bmy_check,
     check_genus_formula,
     check_m_number_bound,
-    check_one_sided_bound,
-    check_signature_bound,
     full_report,
     torus_signature_at,
     torus_signature_function,
@@ -67,9 +64,9 @@ class TestScenarioConstruction:
 
 class TestBettiNumber:
     def test_examples(self):
-        assert betti_number(DeformationScenario(A2, (), 1, 0)) == 1
-        assert betti_number(DeformationScenario(A6, (), 3, 2)) == 7
-        assert betti_number(DeformationScenario(A2, (A2,), 0, 0)) == 0
+        assert full_report(DeformationScenario(A2, (), 1, 0)).betti == 1
+        assert full_report(DeformationScenario(A6, (), 3, 2)).betti == 7
+        assert full_report(DeformationScenario(A2, (A2,), 0, 0)).betti == 0
 
 
 class TestGenusFormula:
@@ -89,7 +86,7 @@ class TestGenusFormula:
 class TestSignatureBound:
     def test_cusp_to_node_holds(self):
         # at every midpoint |sigma_0(x) + 1| <= 1 because sigma_0 is 0 or -2
-        verdict = check_signature_bound(CUSP_TO_NODE)
+        verdict = full_report(CUSP_TO_NODE).signature_bound
         assert verdict.holds
         assert verdict.left == 1 and verdict.right == 1
         assert abs(torus_signature_at(A2, Fraction(1, 2)) - (-1)) == 1
@@ -97,7 +94,7 @@ class TestSignatureBound:
     def test_a6_to_three_a2_fails_on_full_sweep(self):
         # equality holds at 1/2 but midpoints near the breakpoint mismatch
         # around 1/14 versus 1/6 push the left side to 2 and beyond
-        verdict = check_signature_bound(A6_TO_THREE_A2)
+        verdict = full_report(A6_TO_THREE_A2).signature_bound
         assert not verdict.holds
         assert verdict.right == 0
         assert verdict.left == 4
@@ -106,24 +103,24 @@ class TestSignatureBound:
         assert abs(central - fiber) == verdict.left
 
     def test_self_deformation_margin_zero_everywhere(self):
-        verdict = check_signature_bound(DeformationScenario(A2, (A2,), 0, 0))
+        verdict = full_report(DeformationScenario(A2, (A2,), 0, 0)).signature_bound
         assert verdict.holds and verdict.left == 0 and verdict.right == 0
 
 
 class TestOneSidedBound:
     def test_cusp_to_node_holds(self):
-        verdict = check_one_sided_bound(CUSP_TO_NODE)
+        verdict = full_report(CUSP_TO_NODE).one_sided_bound
         assert verdict.holds and verdict.right == 0
         assert verdict.left == 0  # sigma_0 <= 0 everywhere, max at 0
 
     def test_a6_to_three_a2_worst_margin(self):
-        verdict = check_one_sided_bound(A6_TO_THREE_A2)
+        verdict = full_report(A6_TO_THREE_A2).one_sided_bound
         assert not verdict.holds
         assert verdict.left == 4 and verdict.right == 0
         assert verdict.margin == -4
 
     def test_self_deformation_equality(self):
-        verdict = check_one_sided_bound(DeformationScenario(A4, (A4,), 0, 0))
+        verdict = full_report(DeformationScenario(A4, (A4,), 0, 0)).one_sided_bound
         assert verdict.holds and verdict.left == 0 and verdict.right == 0
 
 
@@ -182,7 +179,7 @@ class TestFullReport:
     )
     def test_betti_is_the_signature_bound_right_side(self, scenario):
         report = full_report(scenario)
-        assert report.betti == report.signature_bound.right == betti_number(scenario)
+        assert report.betti == report.signature_bound.right == 2 * scenario.genus + scenario.double_points
 
     def test_growing_cusp_obstructed_by_genus_formula(self):
         report = full_report(DeformationScenario(A2, (A4,), 0, 0))
@@ -236,7 +233,7 @@ class TestSweepSufficiency:
         worst = max(
             left_at((grid[i] + grid[i + 1]) / 2) for i in range(len(grid) - 1)
         )
-        verdict = check_signature_bound(scenario)
+        verdict = full_report(scenario).signature_bound
         assert verdict.left == worst
         # arbitrary interior points of each interval give the same sweep result
         for _ in range(3):
@@ -265,14 +262,12 @@ class TestSweepSufficiency:
                 two_sided = (x, left)
             if one_sided is None or central - fiber > one_sided[1]:
                 one_sided = (x, central - fiber)
+        report = full_report(scenario)
         for verdict, (witness, left) in [
-            (check_signature_bound(scenario), two_sided),
-            (check_one_sided_bound(scenario), one_sided),
+            (report.signature_bound, two_sided),
+            (report.one_sided_bound, one_sided),
         ]:
             assert (verdict.witness, verdict.left) == (witness, left)
-        report = full_report(scenario)
-        assert report.signature_bound == check_signature_bound(scenario)
-        assert report.one_sided_bound == check_one_sided_bound(scenario)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_repeated_cusps_match_per_copy_reference(self, seed):
@@ -307,8 +302,9 @@ class TestSweepSufficiency:
         # a cusp whose weights cancel keeps its breakpoints; without them
         # the first interval grows and the witness moves to 1/2
         self.assert_matches_per_copy_reference(scenario)
-        assert check_signature_bound(scenario).witness == witness
-        assert check_one_sided_bound(scenario).witness == witness
+        report = full_report(scenario)
+        assert report.signature_bound.witness == witness
+        assert report.one_sided_bound.witness == witness
 
 
 class TestSelfDeformation:

@@ -172,6 +172,15 @@ class TestOracleEquivalence:
             pruned = [r.scenario for r in enumerate_admissible(budget, candidates=pool)]
             assert pruned == brute_force_results(budget, multisets=multisets)
 
+    @pytest.mark.parametrize("central", [A2, Cusp(2, 5), Cusp(2, 7), Cusp(3, 4)])
+    def test_budget_past_half_the_milnor_number(self, central):
+        # the walk clamps g and R at mu_0 // 2; the reference walks the
+        # whole box, so the clamp must lose nothing
+        bound = milnor_number(central) // 2 + 3
+        budget = SearchBudget(central, max_genus=bound, max_double_points=bound)
+        pruned = [r.scenario for r in enumerate_admissible(budget)]
+        assert pruned == brute_force_results(budget)
+
 
 class TestCountAdmissible:
     def test_matches_examples(self):
@@ -182,6 +191,16 @@ class TestCountAdmissible:
     def test_equals_stream_length(self, central):
         budget = SearchBudget(central, max_genus=1, max_double_points=1)
         assert count_admissible(budget) == len(list(enumerate_admissible(budget)))
+
+
+class TestHugeBudget:
+    def test_genus_formula_bounds_the_box(self, deadline):
+        # the unclamped (g, R) box made this run without end
+        huge = 99999999999999999999
+        assert count_admissible(SearchBudget(A2, huge, 0)) == count_admissible(SearchBudget(A2, 1, 0)) == 2
+        assert count_admissible(SearchBudget(Cusp(2, 7), huge, huge)) == count_admissible(
+            SearchBudget(Cusp(2, 7), 3, 3)
+        )
 
 
 class TestDeepWalk:

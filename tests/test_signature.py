@@ -13,6 +13,7 @@ from curvesig import (
     SeifertMatrix,
     StepFunction,
     bidiagonal_seifert,
+    candidate_cusps,
     enumerate_admissible,
     full_report,
     integral,
@@ -328,15 +329,12 @@ class TestSeifertSignature:
 
     def test_near_jump_raises(self):
         # extremely close to the jump at 1/6 the smallest eigenvalue is tiny
-        # relative to the largest; a loose tolerance must flag it
+        # relative to the largest, below the fixed threshold; a little
+        # further away it is not
         near = Fraction(1, 6) + Fraction(1, 10**12)
         with pytest.raises(NearSingularForm):
-            seifert_signature_at(bidiagonal_seifert(3), near, tolerance=1e-3)
-
-    def test_rejects_bad_tolerance(self):
-        for tolerance in (0, float("nan")):
-            with pytest.raises(ValueError):
-                seifert_signature_at(bidiagonal_seifert(3), Fraction(1, 2), tolerance=tolerance)
+            seifert_signature_at(bidiagonal_seifert(3), near)
+        assert seifert_signature_at(bidiagonal_seifert(3), Fraction(1, 6) + Fraction(1, 10**8)) == -2
 
     @pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
     def test_matches_counting_formula_at_random_points(self, q):
@@ -347,6 +345,52 @@ class TestSeifertSignature:
         for _ in range(25):
             x = random_non_breakpoint(rng, cusp)
             assert seifert_signature_at(matrix, x) == torus_signature_at(cusp, x)
+
+
+def _minus_one_bidiagonal(n):
+    # B_n: (n - 1) x (n - 1), -1 on the diagonal and +1 just above it
+    return [[-1 if j == i else 1 if j == i + 1 else 0 for j in range(n - 1)] for i in range(n - 1)]
+
+
+def torus_seifert(cusp):
+    """Seifert matrix V(p, q) = -(B_p (x) B_q) of the (p, q) torus knot: the
+    Milnor fiber of x^p + y^q is the join of p and q points, so its Seifert
+    form is the tensor product of the A_{p-1} and A_{q-1} forms."""
+    bp, bq = _minus_one_bidiagonal(cusp.p), _minus_one_bidiagonal(cusp.q)
+    return SeifertMatrix(tuple(
+        tuple(-a * b for a in row_p for b in row_q) for row_p in bp for row_q in bq
+    ))
+
+
+class TestTensorSeifert:
+    PAIRS = [(p, q) for p in range(2, 62) for q in range(p + 1, 62)
+             if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 60]
+
+    def test_pair_count(self):
+        assert len(self.PAIRS) == 75
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 31])
+    def test_p_two_is_the_bidiagonal_matrix(self, q):
+        assert torus_seifert(Cusp(2, q)) == bidiagonal_seifert(q)
+
+    @pytest.mark.parametrize("p,q", PAIRS)
+    def test_matches_counting_formula_at_random_points(self, p, q):
+        rng = random.Random(p * 100 + q)
+        cusp = Cusp(p, q)
+        matrix = torus_seifert(cusp)
+        assert len(matrix.entries) == milnor_number(cusp)
+        for _ in range(20):
+            x = random_non_breakpoint(rng, cusp)
+            assert seifert_signature_at(matrix, x) == torus_signature_at(cusp, x), x
+
+
+def test_signature_functions_are_never_positive():
+    # every torus-knot signature function is <= 0 on (0, 1), so subtracting
+    # a fiber cusp's signature never lowers sigma_0 - sum_k sigma_k
+    cusps = candidate_cusps(300)
+    assert len(cusps) == 509
+    for cusp in cusps:
+        assert max(torus_signature_function(cusp).values) <= 0, cusp
 
 
 def test_seifert_matrix_must_be_square():
