@@ -3,8 +3,9 @@
 Subcommands: invariants, signature, check, enumerate, bmy.  Results go to
 stdout, diagnostics to stderr.  Exit status is 0 on success (including a
 "holds"/"admissible" verdict), 1 for an obstructed scenario or violated
-bound, and 2 for any input error.  Every number printed is an exact integer
-or a rational "a/b"; floating point notation never appears.
+bound, 2 for any input error, and 141 (128 + SIGPIPE, with nothing on
+stderr) when the reader closes stdout early.  Every number printed is an
+exact integer or a rational "a/b"; floating point notation never appears.
 
 Report documents are parsed from their exact sides alone and must be exactly
 the rendering of the report those sides give: a wrong verdict word, margin or
@@ -14,6 +15,7 @@ overall, an unknown key or a non-canonical rational is an input error.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -27,12 +29,9 @@ __all__ = [
     "parse_rational",
     "format_rational",
     "parse_scenario",
-    "report_to_document",
     "serialize_report",
     "parse_report",
-    "build_parser",
     "main",
-    "entry_point",
 ]
 
 
@@ -140,7 +139,7 @@ def _cusp_from_json(item, where: str) -> Cusp:
 # ---------------------------------------------------------------------------
 # report documents
 
-def report_to_document(report: ObstructionReport) -> dict:
+def _report_to_document(report: ObstructionReport) -> dict:
     """Plain-JSON rendering of a report; rationals become 'n/d' strings."""
     return {
         "betti": report.betti,
@@ -177,7 +176,7 @@ def _sweep_to_document(verdict: SweepVerdict) -> dict:
 
 def serialize_report(report: ObstructionReport) -> str:
     import json
-    return json.dumps(report_to_document(report), indent=2)
+    return json.dumps(_report_to_document(report), indent=2)
 
 
 def parse_report(text: str) -> ObstructionReport:
@@ -205,7 +204,7 @@ def parse_report(text: str) -> ObstructionReport:
                 parse_rational(data["m_number_bound"]["right"]),
             ),
         )
-        canonical = json.dumps(report_to_document(report), sort_keys=True)
+        canonical = json.dumps(_report_to_document(report), sort_keys=True)
         consistent = json.dumps(data, sort_keys=True) == canonical
     except (KeyError, TypeError, ValueError) as err:
         raise ScenarioFormatError(f"malformed report document: {err}") from err
@@ -242,7 +241,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_signature(args) -> int:
-    from .signature import torus_signature_at, torus_signature_function
+    from .signature import integral, torus_signature_at, torus_signature_function
     cusp = Cusp(args.p, args.q)
     if args.at is not None:
         x = parse_rational(args.at)
@@ -252,7 +251,7 @@ def _cmd_signature(args) -> int:
     grid = (Fraction(0), *fn.breakpoints, Fraction(1))
     for i, value in enumerate(fn.values):
         print(f"({format_rational(grid[i])}, {format_rational(grid[i + 1])}): {value}")
-    print(f"integral = {format_rational(fn.integral())}")
+    print(f"integral = {format_rational(integral(fn))}")
     return 0
 
 
@@ -314,7 +313,7 @@ def _cusps_from_file(path: str) -> list[Cusp]:
     return [_cusp_from_json(item, f"cusps[{i}]") for i, item in enumerate(data)]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvesig",
         description="Exact invariants of plane curve singularities and deformation obstruction checks.",
@@ -361,18 +360,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # not an input error; devnull keeps the exit flush off the dead pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
 
-def entry_point() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entry_point()
+    raise SystemExit(main())

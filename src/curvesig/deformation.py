@@ -39,8 +39,6 @@ from .signature import _events
 from .singularities import Cusp, _Record, m_number, milnor_number
 
 __all__ = [
-    "DOUBLE_POINT_SIGNATURE",
-    "M_BOUND_SLACK",
     "DeformationScenario",
     "EqualityVerdict",
     "SweepVerdict",
@@ -53,10 +51,10 @@ __all__ = [
 ]
 
 # Hopf link contribution: a double point adds the constant -1 at every x.
-DOUBLE_POINT_SIGNATURE = -1
+_DOUBLE_POINT_SIGNATURE = -1
 
 # Additive slack of the strict M-number inequalities.
-M_BOUND_SLACK = Fraction(2, 9)
+_M_BOUND_SLACK = Fraction(2, 9)
 
 
 def _count(value, name: str) -> int:
@@ -221,7 +219,7 @@ def _sweeps(scenario: DeformationScenario) -> tuple[SweepVerdict, SweepVerdict]:
         i = max(range(len(left)), key=left.__getitem__)  # the first maximiser
         return SweepVerdict(Fraction(cuts[i] + cuts[i + 1], 2 * denominator), left[i], right)
 
-    nodes = DOUBLE_POINT_SIGNATURE * scenario.double_points
+    nodes = _DOUBLE_POINT_SIGNATURE * scenario.double_points
     return (
         verdict([abs(v - nodes) for v in a], 2 * scenario.genus + scenario.double_points),
         verdict(a, 2 * scenario.genus),
@@ -233,7 +231,7 @@ def check_m_number_bound(scenario: DeformationScenario) -> RationalVerdict:
     strictly; equality counts as violated.  A double point has M = 0, so only
     cusps enter the sum and the R double points enter through 2R alone."""
     left = sum((m_number(c) for c in scenario.cusps), Fraction(0)) - m_number(scenario.central)
-    right = 8 * scenario.genus + 2 * scenario.double_points + M_BOUND_SLACK
+    right = 8 * scenario.genus + 2 * scenario.double_points + _M_BOUND_SLACK
     return RationalVerdict(left, right)
 
 

@@ -1,12 +1,14 @@
 """Search over generic-fiber configurations for a fixed central cusp.
 
-Candidate cusps are the coprime pairs whose Milnor number does not exceed
-that of the central singularity.  Multisets of candidates are explored
-depth-first in lexicographic order and paired with every genus and
-double-point count inside the budget box; a configuration is emitted when it
-passes the obstruction checks.  Two prunings cut the tree, both sound
-because every cusp has positive Milnor number and positive M number, so both
-running sums only grow along a branch:
+The pool of fiber cusps is always `candidate_cusps(mu_0)`, every cusp whose
+Milnor number is at most the central mu_0: Milnor numbers are upper
+semicontinuous, so no fiber cusp of a deformation exceeds mu_0.  Multisets
+of pool cusps are explored depth-first in lexicographic order and paired
+with every genus and double-point count inside the budget box; a
+configuration is emitted when it passes the obstruction checks.  Two
+prunings cut the tree, both sound because every cusp has positive Milnor
+number and positive M number, so both running sums only grow along a
+branch:
 
   * when the genus formula is required, a branch whose Milnor sum already
     exceeds the central Milnor number can never satisfy it;
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .deformation import (
     DeformationScenario,
@@ -112,27 +114,14 @@ def _emit_filter(report: ObstructionReport, budget: SearchBudget) -> bool:
     )
 
 
-def enumerate_admissible(
-    budget: SearchBudget, candidates: Sequence[Cusp] | None = None
-) -> Iterator[SearchResult]:
-    """Yield every non-obstructed configuration inside the budget box.
-
-    `candidates` optionally restricts the cusp universe (it is deduplicated
-    and sorted, so the emitted order never depends on the order given); by
-    default it is every cusp with Milnor number at most the central one.
-    Re-running produces identical output.
-    """
+def enumerate_admissible(budget: SearchBudget) -> Iterator[SearchResult]:
+    """Yield every non-obstructed configuration inside the budget box, with
+    fiber cusps from `candidate_cusps(mu_0)` (by semicontinuity no fiber cusp
+    has a larger Milnor number).  Re-running produces identical output."""
     central = budget.central
     _events(central)  # refuses a central cusp over the Milnor cap before the pool is listed
     mu_central = milnor_number(central)
-    if candidates is None:
-        pool = candidate_cusps(mu_central)
-    else:
-        candidates = tuple(candidates)
-        for c in candidates:
-            if not isinstance(c, Cusp):
-                raise TypeError(f"candidates must be Cusp descriptors, got {c!r}")
-        pool = tuple(sorted(set(candidates)))
+    pool = candidate_cusps(mu_central)
     max_genus, max_double_points = budget.max_genus, budget.max_double_points
     if budget.require_genus_formula:
         max_genus = min(max_genus, mu_central // 2)
@@ -161,6 +150,6 @@ def enumerate_admissible(
             stack.append((chosen + (cusp,), i, mu_sum + milnor_number(cusp), m_sum + m_number(cusp)))
 
 
-def count_admissible(budget: SearchBudget, candidates: Sequence[Cusp] | None = None) -> int:
+def count_admissible(budget: SearchBudget) -> int:
     """Number of configurations enumerate_admissible would emit."""
-    return sum(1 for _ in enumerate_admissible(budget, candidates))
+    return sum(1 for _ in enumerate_admissible(budget))

@@ -119,16 +119,6 @@ class StepFunction(_Record):
             raise BreakpointEvaluation(x)
         return self.values[i]
 
-    def integral(self) -> Fraction:
-        """Exact integral over (0, 1); breakpoints carry no measure.  By Abel
-        summation it is values[-1] - sum_k b_k * (values[k] - values[k-1]),
-        summed as integer numerators over the lcm of the denominators."""
-        values = self.values
-        common = lcm(*(b.denominator for b in self.breakpoints))
-        total = sum(b.numerator * (common // b.denominator) * (after - before)
-                    for b, before, after in zip(self.breakpoints, values, values[1:]))
-        return Fraction(values[-1] * common - total, common)
-
 
 # Largest Milnor number of a cusp whose signature is computed, checked in
 # _numerators, which every signature route calls.  (300, 301), mu = 89 700,
@@ -196,8 +186,14 @@ def torus_signature_function(cusp: Cusp) -> StepFunction:
 
 
 def integral(f: StepFunction) -> Fraction:
-    """Exact integral of a step function over (0, 1)."""
-    return f.integral()
+    """Exact integral of a step function over (0, 1).  By Abel summation it
+    is values[-1] - sum_k b_k * (values[k] - values[k-1]), summed as integer
+    numerators over the lcm of the denominators."""
+    values = f.values
+    common = lcm(*(b.denominator for b in f.breakpoints))
+    total = sum(b.numerator * (common // b.denominator) * (after - before)
+                for b, before, after in zip(f.breakpoints, values, values[1:]))
+    return Fraction(values[-1] * common - total, common)
 
 
 class SeifertMatrix(_Record):

@@ -17,14 +17,18 @@ PACKAGE_ROOT = str(Path(curvesig.__file__).resolve().parent.parent)
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_child(argv: list[str]) -> subprocess.CompletedProcess:
+def _child_env() -> dict[str, str]:
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _run_child(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
         timeout=120,
         check=False,
     )
@@ -42,6 +46,20 @@ def run_cli():
     from the repository root.  Next to any diagnostics, stderr holds one
     `import time:` line for each module the process imported."""
     return lambda args: _run_child(["-X", "importtime", "-m", "curvesig.cli", *args])
+
+
+@pytest.fixture
+def start_cli():
+    """Start `python -m curvesig.cli ARGS` in a fresh interpreter with binary
+    stdout and stderr pipes, for tests that read only part of the output.
+    Use the Popen in a `with` block, which closes the pipes and waits."""
+    return lambda args: subprocess.Popen(
+        [sys.executable, "-m", "curvesig.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=REPO_ROOT,
+        env=_child_env(),
+    )
 
 
 @pytest.fixture

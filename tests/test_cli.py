@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import curvesig
+import curvesig.cli
 from curvesig import Cusp, DeformationScenario, full_report
 from curvesig.cli import (
     ScenarioFormatError,
@@ -98,6 +99,17 @@ class TestSignatureCommand:
     def test_bad_rational_argument(self, capsys):
         code, _, err = run(capsys, "signature", "2", "3", "--at", "0.5")
         assert code == 2 and "rational" in err
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_is_not_an_input_error(self, start_cli):
+        # about 295 kB of output, more than a pipe buffer holds, so the
+        # command is still writing when the reader goes away
+        with start_cli(["signature", "100", "101"]) as child:
+            assert child.stdout.readline() == b"(0, 1/10100): 0\n"
+            child.stdout.close()
+            assert child.stderr.read() == b""
+            assert child.wait(timeout=120) == 141
 
 
 class TestCheckCommand:
@@ -514,7 +526,7 @@ class TestImportPath:
         expected = ["__version__"]
         for module in (singularities, signature, deformation, enumeration):
             expected += module.__all__
-        assert len(expected) == 32 and curvesig.__all__ == expected
+        assert len(expected) == 30 and curvesig.__all__ == expected
         proc = run_python(
             "import json\nnamespace = {}\nexec('from curvesig import *', namespace)\nimport curvesig\n"
             "print(json.dumps([curvesig.__all__, sorted(set(namespace) - {'__builtins__'}), dir(curvesig)]))\n"
@@ -524,6 +536,22 @@ class TestImportPath:
         assert cold_all == expected
         assert star == sorted(expected)
         assert set(expected) <= set(listed)
+
+    def test_cli_names(self):
+        assert curvesig.cli.__all__ == [
+            "ScenarioFormatError",
+            "parse_rational",
+            "format_rational",
+            "parse_scenario",
+            "serialize_report",
+            "parse_report",
+            "main",
+        ]
+
+    def test_console_script_runs_main(self):
+        # a generated console script calls sys.exit on what main returns
+        target = re.search(r'^curvesig = "(.*)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+        assert target.group(1) == "curvesig.cli:main"
 
     def test_module_attribute_and_unknown_name(self, run_python):
         proc = run_python(

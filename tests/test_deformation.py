@@ -19,7 +19,7 @@ from curvesig import (
     torus_signature_at,
     torus_signature_function,
 )
-from curvesig.cli import ScenarioFormatError, parse_report, report_to_document
+from curvesig.cli import ScenarioFormatError, parse_report, serialize_report
 
 A2 = Cusp(2, 3)
 A4 = Cusp(2, 5)
@@ -195,7 +195,7 @@ class TestFullReport:
 
     def test_report_rejects_inconsistent_overall(self):
         # overall is derived in memory; only a document can carry a wrong one
-        document = report_to_document(full_report(CUSP_TO_NODE))
+        document = json.loads(serialize_report(full_report(CUSP_TO_NODE)))
         assert document["overall"] == "admissible"
         document["overall"] = "obstructed"
         with pytest.raises(ScenarioFormatError):

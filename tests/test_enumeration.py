@@ -1,4 +1,4 @@
-import re
+import inspect
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -38,16 +38,13 @@ def all_multisets_with_bounded_milnor_sum(candidates, max_milnor_sum):
     return multisets
 
 
-def brute_force_results(budget, candidates=None, multisets=None):
+def brute_force_results(budget, multisets=None):
     """Unpruned reference enumeration: materialise the whole box, filter by
     the full report, sort by the canonical key.  The multisets default to
-    those of the candidates with Milnor sum at most the central one."""
-    if candidates is None:
-        candidates = candidate_cusps(milnor_number(budget.central))
+    those of candidate_cusps(mu_0) with Milnor sum at most mu_0."""
     if multisets is None:
-        multisets = all_multisets_with_bounded_milnor_sum(
-            sorted(set(candidates)), milnor_number(budget.central)
-        )
+        mu_central = milnor_number(budget.central)
+        multisets = all_multisets_with_bounded_milnor_sum(candidate_cusps(mu_central), mu_central)
     rows = []
     for cusps in multisets:
         for genus in range(budget.max_genus + 1):
@@ -112,23 +109,16 @@ class TestEnumerateAdmissible:
         assert (Cusp(2, 7),) in cusp_lists
         assert (A2, A2, A2) not in cusp_lists
 
-    def test_empty_stream_without_candidates(self):
-        # with the central cusp removed from the universe nothing can reach
-        # the Milnor number 2 required by the genus formula at g = R = 0
-        budget = SearchBudget(A2, max_genus=0, max_double_points=0)
-        assert list(enumerate_admissible(budget, candidates=[])) == []
+    @pytest.mark.parametrize("search", [enumerate_admissible, count_admissible])
+    def test_pool_is_not_a_parameter(self, search):
+        # the pool is always candidate_cusps(mu_0), by semicontinuity
+        assert list(inspect.signature(search).parameters) == ["budget"]
 
     def test_only_admissible_reports_are_emitted(self):
         budget = SearchBudget(Cusp(2, 9), max_genus=1, max_double_points=1)
         for result in enumerate_admissible(budget):
             assert result.report.admissible
             assert result.report == full_report(result.scenario)
-
-    def test_candidate_order_does_not_matter(self):
-        budget = SearchBudget(Cusp(2, 7), max_genus=0, max_double_points=1)
-        forward = list(enumerate_admissible(budget, candidates=candidate_cusps(6)))
-        backward = list(enumerate_admissible(budget, candidates=candidate_cusps(6)[::-1]))
-        assert forward == backward
 
 
 class TestCanonicalOrder:
@@ -156,12 +146,14 @@ class TestOracleEquivalence:
     def test_pruned_equals_brute_force_without_genus_formula(self):
         # without the genus filter the Milnor sum is not capped, but every
         # cusp has M >= M(2, 3) = 11/6, so the M bound caps the multiset
-        # size; the pool holds the central cusp, whose self-deformation a
-        # prune that forgot M_0 would lose
-        pool = (A2, Cusp(2, 5))
+        # size; the pool (2, 3), (2, 5) holds the central cusp, whose
+        # self-deformation a prune that forgot M_0 would lose
+        central = Cusp(2, 5)
+        pool = candidate_cusps(milnor_number(central))
+        assert pool == (A2, central)
         for max_genus, max_double_points in [(0, 1), (1, 2)]:
             budget = SearchBudget(
-                Cusp(2, 5), max_genus, max_double_points, require_genus_formula=False
+                central, max_genus, max_double_points, require_genus_formula=False
             )
             loosest = m_number(budget.central) + 8 * max_genus + 2 * max_double_points + 1
             multisets = [
@@ -169,7 +161,7 @@ class TestOracleEquivalence:
                 for size in range(int(loosest / Fraction(11, 6)) + 1)
                 for cusps in combinations_with_replacement(pool, size)
             ]
-            pruned = [r.scenario for r in enumerate_admissible(budget, candidates=pool)]
+            pruned = [r.scenario for r in enumerate_admissible(budget)]
             assert pruned == brute_force_results(budget, multisets=multisets)
 
     @pytest.mark.parametrize("central", [A2, Cusp(2, 5), Cusp(2, 7), Cusp(3, 4)])
@@ -185,7 +177,6 @@ class TestOracleEquivalence:
 class TestCountAdmissible:
     def test_matches_examples(self):
         assert count_admissible(SearchBudget(A2, 0, 1)) == 2
-        assert count_admissible(SearchBudget(A2, 0, 0, True), candidates=[]) == 0
 
     @pytest.mark.parametrize("central", [A2, Cusp(2, 7), Cusp(3, 4)])
     def test_equals_stream_length(self, central):
@@ -235,12 +226,3 @@ class TestBudgetValidation:
     def test_rejects_non_bool_genus_formula_flag(self, flag):
         with pytest.raises(TypeError, match="require_genus_formula must be a bool"):
             SearchBudget(A2, 1, 2, flag)
-
-
-class TestCandidateValidation:
-    @pytest.mark.parametrize("bad", [(2, 5), 7, [2, 5]], ids=["tuple", "int", "list"])
-    def test_rejects_non_cusp_candidates_before_sorting(self, bad):
-        budget = SearchBudget(A2, 0, 0)
-        message = f"candidates must be Cusp descriptors, got {bad!r}"
-        with pytest.raises(TypeError, match=re.escape(message)):
-            count_admissible(budget, candidates=[A2, bad])
