@@ -3,9 +3,10 @@
 Subcommands: invariants, signature, check, enumerate, bmy.  Results go to
 stdout, diagnostics to stderr.  Exit status is 0 on success (including a
 "holds"/"admissible" verdict), 1 for an obstructed scenario or violated
-bound, 2 for any input error, and 141 (128 + SIGPIPE, with nothing on
-stderr) when the reader closes stdout early.  Every number printed is an
-exact integer or a rational "a/b"; floating point notation never appears.
+bound, 2 for any input error (with nothing on stdout), and 141 (128 +
+SIGPIPE, with nothing on stderr) when the reader closes stdout early.  Every
+number printed is an exact integer or a rational "a/b"; floating point
+notation never appears.
 
 Report documents are parsed from their exact sides alone and must be exactly
 the rendering of the report those sides give: a wrong verdict word, margin or
@@ -193,10 +194,7 @@ def parse_report(text: str) -> ObstructionReport:
         raise ScenarioFormatError("report must be a JSON object")
     try:
         report = ObstructionReport(
-            genus_formula=EqualityVerdict(
-                _strict_int(data["genus_formula"]["left"]),
-                _strict_int(data["genus_formula"]["right"]),
-            ),
+            genus_formula=EqualityVerdict(data["genus_formula"]["left"], data["genus_formula"]["right"]),
             signature_bound=_sweep_from_document(data["signature_bound"]),
             one_sided_bound=_sweep_from_document(data["one_sided_bound"]),
             m_number_bound=RationalVerdict(
@@ -215,17 +213,7 @@ def parse_report(text: str) -> ObstructionReport:
 
 def _sweep_from_document(data: dict) -> SweepVerdict:
     from .deformation import SweepVerdict
-    return SweepVerdict(
-        parse_rational(data["witness"]),
-        _strict_int(data["left"]),
-        _strict_int(data["right"]),
-    )
-
-
-def _strict_int(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioFormatError(f"expected an integer, got {value!r}")
-    return value
+    return SweepVerdict(parse_rational(data["witness"]), data["left"], data["right"])
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +221,13 @@ def _strict_int(value) -> int:
 
 def _cmd_invariants(args) -> int:
     cusp = Cusp(args.p, args.q)
-    print(f"mu = {milnor_number(cusp)}")
-    print(f"M_bar = {m_bar_number(cusp)}")
-    print(f"M = {format_rational(m_number(cusp))}")
-    print(f"N2 = {format_rational(n_squared_defect(cusp))}")
+    # every line is rendered before the first print, so an error leaves stdout empty
+    print(
+        f"mu = {milnor_number(cusp)}\n"
+        f"M_bar = {m_bar_number(cusp)}\n"
+        f"M = {format_rational(m_number(cusp))}\n"
+        f"N2 = {format_rational(n_squared_defect(cusp))}"
+    )
     return 0
 
 
@@ -289,9 +280,11 @@ def _cmd_bmy(args) -> int:
     if args.cusps_file is not None:
         cusps.extend(_cusps_from_file(args.cusps_file))
     verdict = bmy_check(args.p, args.q, cusps, args.double_points)
-    print(f"sum_M = {format_rational(verdict.left)}")
-    print(f"bound = {format_rational(verdict.right)}")
-    print(f"verdict = {'holds' if verdict.holds else 'violated'}")
+    print(
+        f"sum_M = {format_rational(verdict.left)}\n"
+        f"bound = {format_rational(verdict.right)}\n"
+        f"verdict = {'holds' if verdict.holds else 'violated'}"
+    )
     return 0 if verdict.holds else 1
 
 

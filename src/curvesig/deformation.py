@@ -17,11 +17,15 @@ contribute the constant -1 to every signature sum.  They drop out of the
 one-sided bound: their -1 cancels the R part of the Betti number 2g + R,
 leaving only the genus on the right side.
 
-`full_report` is the one route to the verdicts.  Both sweeps share one pass
-that merges the integer signature events of each distinct cusp, weighted by
-its multiplicity, into a running sum of sigma_0 - sum_k sigma_k.  Verdicts
-store only their exact sides (and witness); `holds` and a report's `overall`
-and `betti` are derived from them.
+`full_report` is the one route to all four verdicts; `bmy_check` is the
+M-number bound at genus 0.  Both sweeps share one pass that merges the
+integer signature events of each distinct cusp, weighted by its
+multiplicity, into a running sum of sigma_0 - sum_k sigma_k.  Verdicts
+store only their exact sides (and witness); `holds` and a report's
+`overall` and `betti` are derived from them.  Each record refuses a field
+of the wrong type with TypeError (a bool or a float is never an exact side)
+and a witness outside (0, 1) with ValueError, so every report serializes
+to a document that parses back to it.
 
 Passing all checks never certifies that a deformation exists; the verdict
 "admissible" only means "not obstructed by these criteria".
@@ -44,8 +48,6 @@ __all__ = [
     "SweepVerdict",
     "RationalVerdict",
     "ObstructionReport",
-    "check_genus_formula",
-    "check_m_number_bound",
     "full_report",
     "bmy_check",
 ]
@@ -95,6 +97,8 @@ class EqualityVerdict(_Record):
     right: int
 
     def __init__(self, left: int, right: int) -> None:
+        if type(left) is not int or type(right) is not int:
+            raise TypeError(f"equality sides must be int, got {left!r} and {right!r}")
         self.__dict__.update(left=left, right=right)
 
     @property
@@ -112,6 +116,10 @@ class SweepVerdict(_Record):
     right: int
 
     def __init__(self, witness: Fraction, left: int, right: int) -> None:
+        if type(witness) is not Fraction or type(left) is not int or type(right) is not int:
+            raise TypeError(f"witness must be Fraction, sides int: got {witness!r}, {left!r}, {right!r}")
+        if not 0 < witness.numerator < witness.denominator:
+            raise ValueError(f"witness {witness} outside the open interval (0, 1)")
         self.__dict__.update(witness=witness, left=left, right=right)
 
     @property
@@ -130,6 +138,8 @@ class RationalVerdict(_Record):
     right: Fraction
 
     def __init__(self, left: Fraction, right: Fraction) -> None:
+        if type(left) not in (Fraction, int) or type(right) not in (Fraction, int):
+            raise TypeError(f"rational sides must be Fraction or int, got {left!r} and {right!r}")
         self.__dict__.update(left=left, right=right)
 
     @property
@@ -139,6 +149,10 @@ class RationalVerdict(_Record):
     @property
     def margin(self) -> Fraction:
         return self.right - self.left
+
+
+# the verdict type of each ObstructionReport field, in field order
+_VERDICT_TYPES = (EqualityVerdict, SweepVerdict, SweepVerdict, RationalVerdict)
 
 
 class ObstructionReport(_Record):
@@ -158,6 +172,10 @@ class ObstructionReport(_Record):
         one_sided_bound: SweepVerdict,
         m_number_bound: RationalVerdict,
     ) -> None:
+        kinds = (type(genus_formula), type(signature_bound), type(one_sided_bound), type(m_number_bound))
+        if kinds != _VERDICT_TYPES:
+            name, want, kind = next(t for t in zip(self.__match_args__, _VERDICT_TYPES, kinds) if t[1] is not t[2])
+            raise TypeError(f"{name} must be {want.__name__}, got {kind.__name__}")
         self.__dict__.update(
             genus_formula=genus_formula,
             signature_bound=signature_bound,
@@ -181,17 +199,6 @@ class ObstructionReport(_Record):
     @property
     def overall(self) -> str:
         return "admissible" if self.admissible else "obstructed"
-
-
-def check_genus_formula(scenario: DeformationScenario) -> EqualityVerdict:
-    """mu(central) = 2g + 2R + sum of mu over the fiber cusps, exactly."""
-    left = milnor_number(scenario.central)
-    right = (
-        2 * scenario.genus
-        + 2 * scenario.double_points
-        + sum(milnor_number(c) for c in scenario.cusps)
-    )
-    return EqualityVerdict(left, right)
 
 
 def _sweeps(scenario: DeformationScenario) -> tuple[SweepVerdict, SweepVerdict]:
@@ -226,7 +233,7 @@ def _sweeps(scenario: DeformationScenario) -> tuple[SweepVerdict, SweepVerdict]:
     )
 
 
-def check_m_number_bound(scenario: DeformationScenario) -> RationalVerdict:
+def _m_number_bound(scenario: DeformationScenario) -> RationalVerdict:
     """sum of fiber-cusp M numbers minus the central M number < 8g + 2R + 2/9,
     strictly; equality counts as violated.  A double point has M = 0, so only
     cusps enter the sum and the R double points enter through 2R alone."""
@@ -239,10 +246,13 @@ def full_report(scenario: DeformationScenario) -> ObstructionReport:
     """Run all four checks; both sweeps share one pass."""
     signature_bound, one_sided_bound = _sweeps(scenario)
     return ObstructionReport(
-        genus_formula=check_genus_formula(scenario),
+        genus_formula=EqualityVerdict(
+            milnor_number(scenario.central),
+            2 * scenario.genus + 2 * scenario.double_points + sum(map(milnor_number, scenario.cusps)),
+        ),
         signature_bound=signature_bound,
         one_sided_bound=one_sided_bound,
-        m_number_bound=check_m_number_bound(scenario),
+        m_number_bound=_m_number_bound(scenario),
     )
 
 
@@ -261,6 +271,6 @@ def bmy_check(p: int, q: int, cusps: Iterable[Cusp], double_points: int = 0) -> 
     M = 0, so only the cusps enter the sum.
     """
     central = Cusp(p, q)  # validates coprimality and p, q >= 2
-    verdict = check_m_number_bound(DeformationScenario(central, cusps, double_points, 0))
+    verdict = _m_number_bound(DeformationScenario(central, cusps, double_points, 0))
     shift = m_number(central)
     return RationalVerdict(verdict.left + shift, verdict.right + shift)

@@ -34,7 +34,7 @@ from .deformation import (
     DeformationScenario,
     ObstructionReport,
     _count,
-    check_m_number_bound,
+    _m_number_bound,
     full_report,
 )
 from .signature import _events
@@ -89,6 +89,8 @@ class SearchResult(_Record):
     report: ObstructionReport
 
     def __init__(self, scenario: DeformationScenario, report: ObstructionReport) -> None:
+        if type(scenario) is not DeformationScenario or type(report) is not ObstructionReport:
+            raise TypeError(f"need a DeformationScenario and an ObstructionReport, got {scenario!r}, {report!r}")
         self.__dict__.update(scenario=scenario, report=report)
 
 
@@ -128,7 +130,7 @@ def enumerate_admissible(budget: SearchBudget) -> Iterator[SearchResult]:
         max_double_points = min(max_double_points, mu_central // 2)
     # the M-number bound of the empty fiber at the most generous budget point;
     # adding a branch's M sum to its left side gives that branch's bound
-    loosest = check_m_number_bound(DeformationScenario(central, (), max_double_points, max_genus))
+    loosest = _m_number_bound(DeformationScenario(central, (), max_double_points, max_genus))
 
     # preorder over an explicit stack, so no depth can raise RecursionError;
     # children are pushed in reverse so that they pop in canonical order

@@ -105,7 +105,7 @@ class StepFunction(_Record):
             if not 0 < b < 1:
                 raise ValueError(f"breakpoint {b} outside the open interval (0, 1)")
         for v in values:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise TypeError(f"interval values must be int, got {v!r}")
         if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")

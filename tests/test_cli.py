@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,15 @@ import pytest
 
 import curvesig
 import curvesig.cli
-from curvesig import Cusp, DeformationScenario, full_report
+from curvesig import (
+    Cusp,
+    DeformationScenario,
+    EqualityVerdict,
+    ObstructionReport,
+    RationalVerdict,
+    SweepVerdict,
+    full_report,
+)
 from curvesig.cli import (
     ScenarioFormatError,
     format_rational,
@@ -74,6 +83,17 @@ class TestInvariantsCommand:
         code, out, err = run(capsys, "invariants", "2", "4")
         assert code == 2 and out == ""
         assert "coprime" in err
+
+    def test_unprintable_m_is_an_input_error_with_empty_stdout(self, capsys):
+        # mu and M_bar fit the int-to-str digit limit, but the numerator of M,
+        # about q**2, does not: that error must come before any line is printed
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("no int-to-str digit limit")
+        q = 10 ** (limit // 2 + 100) + 1
+        code, out, err = run(capsys, "invariants", "2", str(q))
+        assert code == 2 and out == ""
+        assert "error:" in err
 
 
 class TestSignatureCommand:
@@ -325,6 +345,17 @@ class TestBmyCommand:
         code, _, err = run(capsys, "bmy", "2", "3", "--cusps", "2-3")
         assert code == 2 and "p,q" in err
 
+    def test_unprintable_bound_is_an_input_error_with_empty_stdout(self, capsys):
+        # the double-point count fits the digit limit, the bound's numerator
+        # does not, and sum_M = 11/6 must not be printed before the error
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("no int-to-str digit limit")
+        nines = "9" * (limit - 1)
+        code, out, err = run(capsys, "bmy", "3", "4", "--cusps", "2,3", "--double-points", nines)
+        assert code == 2 and out == ""
+        assert "error:" in err
+
 
 class TestReportDocuments:
     def scenarios(self):
@@ -358,6 +389,35 @@ class TestReportDocuments:
             report = full_report(scenario)
             assert parse_report(serialize_report(report)) == report
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_constructed_reports_round_trip(self, seed):
+        # any report the records accept serializes to a document that parses
+        # back to it, not only the reports full_report builds
+        rng = random.Random(700 + seed)
+
+        def side():
+            return rng.randint(-10**rng.randint(1, 30), 10**rng.randint(1, 30))
+
+        def witness():
+            denominator = rng.randint(2, 10**rng.randint(1, 20))
+            return Fraction(rng.randint(1, denominator - 1), denominator)
+
+        def rational():
+            value = Fraction(side(), rng.randint(1, 10**rng.randint(1, 20)))
+            return value.numerator if rng.random() < 0.3 else value
+
+        for _ in range(40):
+            report = ObstructionReport(
+                EqualityVerdict(side(), side()),
+                SweepVerdict(witness(), side(), side()),
+                SweepVerdict(witness(), side(), side()),
+                RationalVerdict(rational(), rational()),
+            )
+            text = serialize_report(report)
+            again = parse_report(text)
+            assert again == report
+            assert serialize_report(again) == text
+
     def test_rationals_are_strings_with_denominators(self):
         report = full_report(DeformationScenario(Cusp(2, 3), (), 1, 0))
         document = json.loads(serialize_report(report))
@@ -376,6 +436,9 @@ class TestReportDocuments:
             (("one_sided_bound", "margin"), 2.0),
             (("one_sided_bound", "verdict"), "fails"),
             (("one_sided_bound", "witness"), "2/24"),
+            (("one_sided_bound", "witness"), "0/1"),
+            (("signature_bound", "witness"), "1/1"),
+            (("signature_bound", "left"), True),
             (("m_number_bound", "right"), "74/9 "),
             (("m_number_bound", "right"), "148/18"),
             (("betti", ), True),
@@ -526,7 +589,7 @@ class TestImportPath:
         expected = ["__version__"]
         for module in (singularities, signature, deformation, enumeration):
             expected += module.__all__
-        assert len(expected) == 30 and curvesig.__all__ == expected
+        assert len(expected) == 28 and curvesig.__all__ == expected
         proc = run_python(
             "import json\nnamespace = {}\nexec('from curvesig import *', namespace)\nimport curvesig\n"
             "print(json.dumps([curvesig.__all__, sorted(set(namespace) - {'__builtins__'}), dir(curvesig)]))\n"
@@ -536,6 +599,11 @@ class TestImportPath:
         assert cold_all == expected
         assert star == sorted(expected)
         assert set(expected) <= set(listed)
+
+    def test_full_report_is_the_one_route_to_the_verdicts(self):
+        for name in ("check_genus_formula", "check_m_number_bound"):
+            assert name not in curvesig.__all__
+            assert not hasattr(curvesig, name)
 
     def test_cli_names(self):
         assert curvesig.cli.__all__ == [

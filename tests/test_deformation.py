@@ -13,8 +13,6 @@ from curvesig import (
     RationalVerdict,
     SweepVerdict,
     bmy_check,
-    check_genus_formula,
-    check_m_number_bound,
     full_report,
     torus_signature_at,
     torus_signature_function,
@@ -71,15 +69,15 @@ class TestBettiNumber:
 
 class TestGenusFormula:
     def test_cusp_to_node_holds(self):
-        verdict = check_genus_formula(CUSP_TO_NODE)
+        verdict = full_report(CUSP_TO_NODE).genus_formula
         assert verdict.holds and verdict.left == 2 and verdict.right == 2
 
     def test_a6_to_three_a2_holds(self):
-        verdict = check_genus_formula(A6_TO_THREE_A2)
+        verdict = full_report(A6_TO_THREE_A2).genus_formula
         assert verdict.holds and verdict.left == 6 and verdict.right == 6
 
     def test_growing_milnor_number_fails(self):
-        verdict = check_genus_formula(DeformationScenario(A2, (A4,), 0, 0))
+        verdict = full_report(DeformationScenario(A2, (A4,), 0, 0)).genus_formula
         assert not verdict.holds and verdict.left == 2 and verdict.right == 4
 
 
@@ -126,19 +124,19 @@ class TestOneSidedBound:
 
 class TestMNumberBound:
     def test_a6_to_three_a2_violated(self):
-        verdict = check_m_number_bound(A6_TO_THREE_A2)
+        verdict = full_report(A6_TO_THREE_A2).m_number_bound
         assert not verdict.holds
         assert verdict.left == Fraction(9, 7)
         assert verdict.right == Fraction(2, 9)
 
     def test_cusp_to_node_holds(self):
-        verdict = check_m_number_bound(CUSP_TO_NODE)
+        verdict = full_report(CUSP_TO_NODE).m_number_bound
         assert verdict.holds
         assert verdict.left == Fraction(-11, 6)
         assert verdict.right == 2 + Fraction(2, 9)
 
     def test_self_deformation(self):
-        verdict = check_m_number_bound(DeformationScenario(A6, (A6,), 0, 0))
+        verdict = full_report(DeformationScenario(A6, (A6,), 0, 0)).m_number_bound
         assert verdict.holds and verdict.left == 0 and verdict.right == Fraction(2, 9)
 
     def test_equality_counts_as_violated(self):
@@ -150,10 +148,10 @@ class TestMNumberBound:
         for cusps in [(), (A2,), (A2, A2)]:
             for g in range(2):
                 for r in range(2):
-                    base = check_m_number_bound(DeformationScenario(A6, cusps, r, g))
+                    base = full_report(DeformationScenario(A6, cusps, r, g)).m_number_bound
                     if base.holds:
-                        up_g = check_m_number_bound(DeformationScenario(A6, cusps, r, g + 1))
-                        up_r = check_m_number_bound(DeformationScenario(A6, cusps, r + 1, g))
+                        up_g = full_report(DeformationScenario(A6, cusps, r, g + 1)).m_number_bound
+                        up_r = full_report(DeformationScenario(A6, cusps, r + 1, g)).m_number_bound
                         assert up_g.holds and up_r.holds
 
 

@@ -77,6 +77,63 @@ class TestConstruction:
         assert SearchBudget(Cusp(2, 3), 1, 1) == SearchBudget(Cusp(2, 3), 1, 1, True)
 
 
+class TestFieldTypes:
+    """A record refuses what the report parser refuses: the sides of a
+    verdict are exact (never a bool or a float) and a witness lies in (0, 1)."""
+
+    def test_inexact_report_is_refused(self):
+        with pytest.raises(TypeError):
+            ObstructionReport(
+                EqualityVerdict(True, 1.0),
+                SweepVerdict(0.25, 1.5, 2),
+                SweepVerdict(Fraction(3, 2), 0, -1),
+                RationalVerdict(0.1, 2),
+            )
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.5, Fraction(1, 2), "1", None])
+    def test_equality_sides_are_int(self, bad):
+        for args in [(bad, 1), (1, bad)]:
+            with pytest.raises(TypeError):
+                EqualityVerdict(*args)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.5, Fraction(1, 2), "1", None])
+    def test_sweep_sides_are_int(self, bad):
+        for args in [(Fraction(1, 2), bad, 1), (Fraction(1, 2), 1, bad)]:
+            with pytest.raises(TypeError):
+                SweepVerdict(*args)
+
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)])
+    def test_sweep_witness_lies_in_the_open_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="open interval"):
+            SweepVerdict(bad, 0, 0)
+
+    @pytest.mark.parametrize("bad", [0.25, 0.5, True, 0, 1, "1/2"])
+    def test_sweep_witness_is_a_fraction(self, bad):
+        with pytest.raises(TypeError):
+            SweepVerdict(bad, 0, 0)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.1, "1/2", None])
+    def test_rational_sides_are_fraction_or_int(self, bad):
+        for args in [(bad, Fraction(1, 2)), (Fraction(1, 2), bad)]:
+            with pytest.raises(TypeError):
+                RationalVerdict(*args)
+        assert RationalVerdict(1, Fraction(1, 2)) == RationalVerdict(Fraction(1), Fraction(1, 2))
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_report_slots_hold_their_verdict_types(self, slot):
+        name = ObstructionReport.__match_args__[slot]
+        for bad in [*(v for i, v in enumerate(REPORT_ARGS) if type(v) is not type(REPORT_ARGS[slot])), None, (6, 4)]:
+            args = list(REPORT_ARGS)
+            args[slot] = bad
+            with pytest.raises(TypeError, match=name):
+                ObstructionReport(*args)
+
+    def test_search_result_holds_a_scenario_and_a_report(self):
+        for args in [(REPORT, REPORT), (SCENARIO, SCENARIO), (None, REPORT), (SCENARIO, REPORT_ARGS)]:
+            with pytest.raises(TypeError):
+                SearchResult(*args)
+
+
 class TestEquality:
     def test_equal_values_are_equal_with_equal_hashes(self, sample):
         cls, args = sample

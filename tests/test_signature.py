@@ -281,6 +281,13 @@ class TestStepFunction:
         with pytest.raises(TypeError):
             StepFunction((Fraction(1, 4),), (1.0, 2))
 
+    def test_rejects_bool_values(self):
+        # an exact int is never a bool: True and False are not interval values
+        with pytest.raises(TypeError):
+            StepFunction((Fraction(1, 2),), (True, False))
+        with pytest.raises(TypeError):
+            StepFunction((), (False,))
+
     def test_integral_ignores_breakpoints(self):
         fn = StepFunction((Fraction(1, 3),), (3, -3))
         assert integral(fn) == 3 * Fraction(1, 3) + (-3) * Fraction(2, 3)
