@@ -21,8 +21,8 @@ import re
 import sys
 from fractions import Fraction
 
-# The other library modules and json are imported where they are used, so a
-# cold process loads only what its subcommand runs.
+# The other library modules and json are imported where they are used, once the
+# input is built, so a cold process loads only what its subcommand runs.
 from .singularities import Cusp, m_bar_number, m_number, milnor_number, n_squared_defect
 
 __all__ = [
@@ -102,7 +102,6 @@ def parse_scenario(text: str) -> DeformationScenario:
     "double_points": n, "genus": g}.  Unknown keys are rejected and every
     descriptor constraint is enforced here, with the offending key named.
     """
-    from .deformation import DeformationScenario
     data = _load_json(text)
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario must be a JSON object")
@@ -118,6 +117,7 @@ def parse_scenario(text: str) -> DeformationScenario:
     cusps = tuple(
         _cusp_from_json(item, f"cusps[{i}]") for i, item in enumerate(data["cusps"])
     )
+    from .deformation import DeformationScenario
     try:
         return DeformationScenario(central, cusps, data["double_points"], data["genus"])
     except ValueError as err:
@@ -232,10 +232,10 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_signature(args) -> int:
-    from .signature import integral, torus_signature_at, torus_signature_function
     cusp = Cusp(args.p, args.q)
-    if args.at is not None:
-        x = parse_rational(args.at)
+    x = None if args.at is None else parse_rational(args.at)
+    from .signature import integral, torus_signature_at, torus_signature_function
+    if x is not None:
         print(torus_signature_at(cusp, x))
         return 0
     fn = torus_signature_function(cusp)
@@ -247,10 +247,9 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .deformation import full_report
     with open(args.path, encoding="utf-8") as f:
-        text = f.read()
-    scenario = parse_scenario(text)
+        scenario = parse_scenario(f.read())
+    from .deformation import full_report
     report = full_report(scenario)
     print(serialize_report(report))
     return 0 if report.admissible else 1
@@ -275,10 +274,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bmy(args) -> int:
-    from .deformation import bmy_check
     cusps = [_cusp_from_pair_text(text) for text in args.cusps]
     if args.cusps_file is not None:
         cusps.extend(_cusps_from_file(args.cusps_file))
+    from .deformation import bmy_check
     verdict = bmy_check(args.p, args.q, cusps, args.double_points)
     print(
         f"sum_M = {format_rational(verdict.left)}\n"

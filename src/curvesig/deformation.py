@@ -12,20 +12,27 @@ witness values:
 
 The two signature conditions hold for almost all x; since all functions
 involved are step functions, checking them at the midpoints of the common
-breakpoint refinement is equivalent and exact.  Ordinary double points
-contribute the constant -1 to every signature sum.  They drop out of the
-one-sided bound: their -1 cancels the R part of the Betti number 2g + R,
-leaving only the genus on the right side.
+breakpoint refinement is equivalent and exact.  Four facts relate the checks;
+a = sigma_0 - sum_k sigma_k is a step function of the cusps alone:
+
+  (a) the signature bound, -2g - 2R <= a <= 2g, implies its upper half, the
+      one-sided bound a <= 2g (the witnesses may differ);
+  (b) with the genus formula, the one-sided bound implies the M bound: the
+      integral of sigma over (0, 1) is -(M + mu + 1/(pq))/3, so integrating
+      a <= 2g gives sum_k M_k - M_0 <= 6g + mu_0 - sum_k mu_k + 1/(p_0 q_0)
+      - sum_k 1/(p_k q_k) <= 8g + 2R + 1/6 < 8g + 2R + 2/9;
+  (c) without it, the (g, R) that pass the other three checks form an
+      up-set: a ignores g and R, and every right side grows with them;
+  (d) with it, R fixes g = (mu_0 - sum_k mu_k)/2 - R.
 
 `full_report` is the one route to all four verdicts; `bmy_check` is the
-M-number bound at genus 0.  Both sweeps share one pass that merges the
-integer signature events of each distinct cusp, weighted by its
-multiplicity, into a running sum of sigma_0 - sum_k sigma_k.  Verdicts
-store only their exact sides (and witness); `holds` and a report's
-`overall` and `betti` are derived from them.  Each record refuses a field
-of the wrong type with TypeError (a bool or a float is never an exact side)
-and a witness outside (0, 1) with ValueError, so every report serializes
-to a document that parses back to it.
+M-number bound at genus 0.  Both sweeps share one pass that merges the integer
+signature events of each distinct cusp (`singularities._events`), weighted by
+its multiplicity, into a running sum of a.  Verdicts store only their exact
+sides (and witness); `holds` and a report's `overall` and `betti` are derived
+from them.  Each record refuses a field of the wrong type with TypeError (a
+bool or a float is never an exact side) and a witness outside (0, 1) with
+ValueError, so every report serializes to a document that parses back to it.
 
 Passing all checks never certifies that a deformation exists; the verdict
 "admissible" only means "not obstructed by these criteria".
@@ -39,8 +46,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Iterable
 
-from .signature import _events
-from .singularities import Cusp, _Record, m_number, milnor_number
+from .singularities import Cusp, _Record, _events, m_number, milnor_number
 
 __all__ = [
     "DeformationScenario",

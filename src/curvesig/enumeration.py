@@ -37,8 +37,7 @@ from .deformation import (
     _m_number_bound,
     full_report,
 )
-from .signature import _events
-from .singularities import Cusp, _Record, m_number, milnor_number
+from .singularities import Cusp, _Record, _events, m_number, milnor_number
 
 __all__ = [
     "SearchBudget",
@@ -109,11 +108,7 @@ def candidate_cusps(max_milnor: int) -> tuple[Cusp, ...]:
 def _emit_filter(report: ObstructionReport, budget: SearchBudget) -> bool:
     if budget.require_genus_formula:
         return report.admissible
-    return (
-        report.signature_bound.holds
-        and report.one_sided_bound.holds
-        and report.m_number_bound.holds
-    )
+    return report.signature_bound.holds and report.m_number_bound.holds  # signature_bound implies one_sided_bound
 
 
 def enumerate_admissible(budget: SearchBudget) -> Iterator[SearchResult]:

@@ -5,22 +5,22 @@ by a counting formula over the jump set
 
     Sigma = {i/p + j/q : 1 <= i <= p-1, 1 <= j <= q-1}  inside (0, 2).
 
-Each jump is n/(pq) for the integer numerator n = iq + jp, and for coprime
-p, q these numerators are pairwise distinct, so the module counts integers
-and builds a `Fraction` only to hand a jump or a breakpoint out; `jump_set`
-is the sorted tuple of these fractions.  The value at a non-jump x in
-(0, 1) is the number of jumps outside the open window (x, x+1) minus the
+Each jump is n/(pq) for a jump numerator n = iq + jp of `singularities`, and
+for coprime p, q these numerators are pairwise distinct, so the module counts
+integers and builds a `Fraction` only to hand a jump or a breakpoint out;
+`jump_set` is the sorted tuple of these fractions.  The value at a non-jump x
+in (0, 1) is the number of jumps outside the open window (x, x+1) minus the
 number inside.  As x grows, a jump n < pq leaves the window at n/(pq) and
 raises the value by 2, and a jump n > pq enters it at (n - pq)/(pq) and
 lowers it by 2; the value starts at 0 because the jumps are symmetric
-about 1.  The step function is therefore one sort of these integer events
-and a running sum, and its integral over (0, 1) is an exact rational.  The
-folded positions are distinct as well, so each breakpoint is a single jump
-and `StepFunction` accepts only strictly increasing breakpoints.
-`torus_signature_at` counts the window directly instead, so it stays an
-oracle independent of the scan.  Values at the jumps themselves are
-undefined: evaluating there raises `BreakpointEvaluation` rather than
-picking one of the competing averaging conventions.
+about 1.  The step function is therefore a running sum over these integer
+events, which `singularities._events` sorts, and its integral over (0, 1) is
+an exact rational.  The folded positions are distinct as well, so each
+breakpoint is a single jump and `StepFunction` accepts only strictly
+increasing breakpoints.  `torus_signature_at` counts the window directly
+instead, so it stays an oracle independent of the scan.  Values at the jumps
+themselves are undefined: evaluating there raises `BreakpointEvaluation`
+rather than picking one of the competing averaging conventions.
 
 A second, floating-point route evaluates the signature of the Hermitian
 form (1 - z) V + (1 - conj(z)) V^T for a Seifert matrix V.  Only the (2, q)
@@ -34,12 +34,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import lcm
 from operator import index
 
-from .singularities import Cusp, _Record
+from .singularities import Cusp, _Record, _events, _numerators
 
 __all__ = [
     "BreakpointEvaluation",
@@ -118,27 +117,6 @@ class StepFunction(_Record):
         if i < len(self.breakpoints) and self.breakpoints[i] == x:
             raise BreakpointEvaluation(x)
         return self.values[i]
-
-
-# Largest Milnor number of a cusp whose signature is computed, checked in
-# _numerators, which every signature route calls.  (300, 301), mu = 89 700,
-# builds in about a second; no test or bench input goes above 2 000.
-_MAX_MILNOR = 100_000
-
-
-def _numerators(cusp: Cusp) -> list[int]:
-    # the jump i/p + j/q is n/(pq) with n = iq + jp
-    p, q = cusp.p, cusp.q
-    if (p - 1) * (q - 1) > _MAX_MILNOR:
-        raise ValueError(f"Milnor number of {cusp} is {(p - 1) * (q - 1)}, above the cap of {_MAX_MILNOR}")
-    return [i * q + j * p for i in range(1, p) for j in range(1, q)]
-
-
-@lru_cache(maxsize=None)
-def _events(cusp: Cusp) -> tuple[tuple[int, int], ...]:
-    """Sorted (position over pq, step) events of `torus_signature_function`."""
-    pq = cusp.p * cusp.q
-    return tuple(sorted((n, 2) if n < pq else (n - pq, -2) for n in _numerators(cusp)))
 
 
 def jump_set(cusp: Cusp) -> tuple[Fraction, ...]:

@@ -8,7 +8,12 @@ invariants (Milnor number 1, M = M-bar = 0, signature -1), so a scenario
 carries double points as the count R and no descriptor exists for them.
 
 All invariants are exact: integers, or `fractions.Fraction` values in lowest
-terms.  No floating point enters this module.
+terms.  No floating point enters this module.  The (p, q) torus knot's
+signature jumps at n/(pq) for the jump numerators n = iq + jp with
+1 <= i < p, 1 <= j < q.  `_numerators` lists them for every signature route
+and refuses a Milnor number above the cap `_MAX_MILNOR` ((300, 301) builds
+in about a second); `_events` sorts them into the integer steps that
+`signature` and `deformation` read, so the checks never load `signature`.
 
 `_Record` is the base of every value type: an immutable record of its
 annotated fields, equal only to records of its own type.
@@ -17,7 +22,7 @@ annotated fields, equal only to records of its own type.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from math import gcd
 from operator import attrgetter
 
@@ -137,3 +142,20 @@ def n_squared_defect(s: Cusp) -> Fraction:
     Strictly below -1/2 for every cusp.
     """
     return m_bar_number(s) - m_number(s)
+
+
+_MAX_MILNOR = 100_000
+
+
+def _numerators(cusp: Cusp) -> list[int]:
+    p, q = cusp.p, cusp.q
+    if (p - 1) * (q - 1) > _MAX_MILNOR:
+        raise ValueError(f"Milnor number of {cusp} is {(p - 1) * (q - 1)}, above the cap of {_MAX_MILNOR}")
+    return [i * q + j * p for i in range(1, p) for j in range(1, q)]
+
+
+@lru_cache(maxsize=None)
+def _events(cusp: Cusp) -> tuple[tuple[int, int], ...]:
+    """Sorted (position over pq, step) events of `torus_signature_function`."""
+    pq = cusp.p * cusp.q
+    return tuple(sorted((n, 2) if n < pq else (n - pq, -2) for n in _numerators(cusp)))

@@ -556,15 +556,36 @@ class TestImportPath:
         [
             (["invariants", "2", "3"], ["singularities"], False),
             (["signature", "2", "5"], ["singularities", "signature"], False),
-            (["check", "bench/cli_inputs/mixed.json"], ["singularities", "signature", "deformation"], True),
-            (["bmy", "3", "4", "--cusps", "2,3"], ["singularities", "signature", "deformation"], False),
-            (["enumerate", "2", "7", "--count"], ["singularities", "signature", "deformation", "enumeration"], False),
+            (["check", "bench/cli_inputs/mixed.json"], ["singularities", "deformation"], True),
+            (["bmy", "3", "4", "--cusps", "2,3"], ["singularities", "deformation"], False),
+            (["enumerate", "2", "7", "--count"], ["singularities", "deformation", "enumeration"], False),
         ],
         ids=["invariants", "signature", "check", "bmy", "enumerate"],
     )
     def test_command_loads_only_the_modules_it_runs(self, run_cli, argv, modules, loads_json):
         proc = run_cli(argv)
         assert proc.returncode in (0, 1), proc.stderr
+        self.assert_loaded(proc, modules, loads_json)
+
+    # an input error found in argv or in the document stops before the library computes
+    @pytest.mark.parametrize(
+        "argv,loads_json",
+        [
+            (["check", "bench/cli_inputs/does_not_exist.json"], False),
+            (["check", "bench/cli_inputs/bad_json.json"], True),
+            (["check", "bench/cli_inputs/unknown_key.json"], True),
+            (["check", "bench/cli_inputs/not_coprime.json"], True),
+            (["bmy", "3", "4", "--cusps", "2,3,4"], False),
+        ],
+        ids=["missing", "bad_json", "unknown_key", "not_coprime", "bmy_bad_pair"],
+    )
+    def test_input_error_loads_only_singularities(self, run_cli, argv, loads_json):
+        proc = run_cli(argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        self.assert_loaded(proc, ["singularities"], loads_json)
+
+    @staticmethod
+    def assert_loaded(proc, modules, loads_json):
         loaded = {
             line.rpartition("|")[2].strip()
             for line in proc.stderr.splitlines()
@@ -573,6 +594,14 @@ class TestImportPath:
         assert {name for name in loaded if name.startswith("curvesig.")} == {f"curvesig.{m}" for m in modules}
         assert ("json" in loaded) == loads_json
         assert "cmath" not in loaded
+
+    def test_deformation_and_enumeration_leave_signature_unloaded(self, run_python):
+        proc = run_python(
+            "import sys\nimport curvesig.deformation, curvesig.enumeration\n"
+            "print('curvesig.signature' in sys.modules)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_bare_import_loads_no_module(self, run_python):
         proc = run_python(

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -13,7 +14,9 @@ from curvesig import (
     RationalVerdict,
     SweepVerdict,
     bmy_check,
+    candidate_cusps,
     full_report,
+    milnor_number,
     torus_signature_at,
     torus_signature_function,
 )
@@ -34,6 +37,20 @@ def random_scenario(rng):
     central = rng.choice([A6, Cusp(3, 4), Cusp(3, 5), Cusp(2, 9), Cusp(2, 11)])
     cusps = tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
     return DeformationScenario(central, cusps, rng.randint(0, 3), rng.randint(0, 2))
+
+
+def small_scenarios() -> list[DeformationScenario]:
+    """Every scenario whose central cusp has mu_0 <= 16, whose fiber has at
+    most three cusps with Milnor sum at most mu_0, and whose g and R are at
+    most 2."""
+    scenarios = []
+    for central in candidate_cusps(16):
+        mu_central = milnor_number(central)
+        for size in range(4):
+            for cusps in combinations_with_replacement(candidate_cusps(mu_central), size):
+                if sum(map(milnor_number, cusps)) <= mu_central:
+                    scenarios += [DeformationScenario(central, cusps, r, g) for g in range(3) for r in range(3)]
+    return scenarios
 
 
 class TestScenarioConstruction:
@@ -198,6 +215,49 @@ class TestFullReport:
         document["overall"] = "obstructed"
         with pytest.raises(ScenarioFormatError):
             parse_report(json.dumps(document))
+
+
+class TestVerdictAlgebra:
+    """Facts (a)-(d) of the `deformation` module docstring."""
+
+    def test_implications_hold_exhaustively(self):
+        scenarios = small_scenarios()
+        assert len(scenarios) == 3294
+        seen = Counter()
+        for scenario in scenarios:
+            report = full_report(scenario)
+            seen["M bound fails"] += not report.m_number_bound.holds
+            # (a) the one-sided bound is the upper half of the signature bound
+            if report.signature_bound.holds:
+                seen["a"] += 1
+                assert report.one_sided_bound.holds, scenario
+            # (b) integrating the one-sided bound under the genus formula
+            if report.genus_formula.holds and report.one_sided_bound.holds:
+                seen["b"] += 1
+                assert report.m_number_bound.holds, scenario
+            # (d) the genus formula fixes g once R is chosen
+            if report.genus_formula.holds:
+                fiber_mu = sum(map(milnor_number, scenario.cusps))
+                assert 2 * scenario.genus == milnor_number(scenario.central) - fiber_mu - 2 * scenario.double_points
+        # neither implication holds vacuously, and the conclusions can fail
+        assert seen["a"] and seen["b"] and seen["M bound fails"]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_emission_without_genus_formula_is_an_up_set(self, seed):
+        # (c): the signature, one-sided and M bounds only loosen as g or R grows
+        def passes(scenario):
+            report = full_report(scenario)
+            return report.signature_bound.holds and report.one_sided_bound.holds and report.m_number_bound.holds
+
+        rng = random.Random(seed)
+        outcomes = Counter()
+        for s in rng.sample(small_scenarios(), 200):
+            passed = passes(s)
+            outcomes[passed] += 1
+            if passed:
+                for r, g in [(s.double_points, s.genus + 1), (s.double_points + 1, s.genus)]:
+                    assert passes(DeformationScenario(s.central, s.cusps, r, g)), (s, r, g)
+        assert outcomes[True] and outcomes[False]
 
 
 class TestPermutationInvariance:

@@ -24,7 +24,7 @@ from curvesig import (
     torus_signature_at,
     torus_signature_function,
 )
-from curvesig.signature import _MAX_MILNOR
+from curvesig.singularities import _MAX_MILNOR
 
 SMALL_PAIRS = [(p, q) for p in range(2, 7) for q in range(p + 1, 16) if gcd(p, q) == 1 and p * q <= 30]
 WINDOW_PAIRS = [(p, q) for p in range(2, 13) for q in range(p + 1, 76) if gcd(p, q) == 1 and p * q <= 150]
