@@ -56,6 +56,30 @@ expect 0 curvesig check bench/cli_inputs/admissible.json
 expect 1 curvesig check bench/cli_inputs/obstructed.json
 expect 0 curvesig enumerate 2 7 --max-genus 0 --max-double-points 1 --count
 expect 0 timeout 10 curvesig enumerate 2 3 --max-genus 99999999999999999999 --count
+
+# lines the argv reader refuses go to argparse: help, abbreviations, '=' forms
+out=$(curvesig --help) || fail "'curvesig --help' exited with $?, expected 0"
+case "$out" in
+  "usage: curvesig"*) ;;
+  *) fail "'curvesig --help' printed no usage line on stdout" ;;
+esac
+count=$(curvesig enumerate 2 7 --max-genus 0 --max-double-points 1 --count) || fail "the full spelling failed"
+abbreviated=$(curvesig enumerate 2 7 --max-g 0 --max-d 1 --count) || fail "the abbreviated spelling failed"
+equals=$(curvesig enumerate 2 7 --max-genus=0 --max-double-points=1 --count) || fail "the '=' spelling failed"
+if [ "$abbreviated" != "$count" ] || [ "$equals" != "$count" ]; then
+  fail "'enumerate 2 7 ... --count' printed '$abbreviated' abbreviated and '$equals' with '=', expected '$count'"
+fi
+
+# a cusp list read from a file gives the verdict of the same cusps inline
+cusps=$(mktemp)
+echo '[[2, 3], [2, 3], [2, 3]]' > "$cusps"
+status=0
+curvesig bmy 3 4 --cusps-file "$cusps" > /dev/null || status=$?
+rm -f "$cusps"
+if [ "$status" -ne 1 ]; then
+  fail "'curvesig bmy 3 4 --cusps-file FILE' exited with $status, expected 1"
+fi
+
 # the module route exits through its own SystemExit
 expect 2 python -m curvesig.cli invariants 2
 expect 1 python -m curvesig.cli bmy 3 4 --cusps 2,3 2,3 2,3

@@ -1,4 +1,4 @@
-"""Command line interface, scenario file format and report serialization.
+"""Command line interface.
 
 Subcommands: invariants, signature, check, enumerate, bmy.  Results go to
 stdout, diagnostics to stderr.  Exit status is 0 on success (including a
@@ -6,53 +6,34 @@ stdout, diagnostics to stderr.  Exit status is 0 on success (including a
 bound, 2 for any input error (with nothing on stdout), and 141 (128 +
 SIGPIPE, with nothing on stderr) when the reader closes stdout early.  Every
 number printed is an exact integer or a rational "a/b"; floating point
-notation never appears.
+notation never appears.  Scenario and report documents: `curvesig.documents`.
 
-Report documents are parsed from their exact sides alone and must be exactly
-the rendering of the report those sides give: a wrong verdict word, margin or
-overall, an unknown key or a non-canonical rational is an input error.
+A well-formed line is read straight from the grammar table `_COMMANDS`;
+argparse, built from the same table, reads every other line and words help
+and every diagnostic.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
-# The other library modules and json are imported where they are used, once the
-# input is built, so a cold process loads only what its subcommand runs.
+# The other library modules, the document format, argparse and json are
+# imported where they are used, so a cold process loads only what its line runs.
 from .singularities import Cusp, m_bar_number, m_number, milnor_number, n_squared_defect
 
-__all__ = [
-    "ScenarioFormatError",
-    "parse_rational",
-    "format_rational",
-    "parse_scenario",
-    "serialize_report",
-    "parse_report",
-    "main",
-]
+__all__ = ["ScenarioFormatError", "parse_rational", "format_rational", "parse_scenario",
+           "serialize_report", "parse_report", "main"]
 
 
-class ScenarioFormatError(ValueError):
-    """Invalid scenario or report document."""
-
-
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b' or 'a' with an optional leading sign and no whitespace."""
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"not a rational: {text!r} (expected 'a/b' or an integer)")
-    numerator, _, denominator = text.partition("/")
-    if not denominator:
-        return Fraction(int(numerator))
-    if int(denominator) == 0:
-        raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(numerator), int(denominator))
+def __getattr__(name: str):
+    if name in __all__:  # a document name: load curvesig.documents at its first use
+        from . import documents
+        globals()[name] = value = getattr(documents, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def format_rational(value) -> str:
@@ -61,159 +42,6 @@ def format_rational(value) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def _document_rational(value: Fraction) -> str:
-    # documents always carry an explicit denominator for schema stability
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _load_json(text: str):
-    import json
-    try:
-        return json.loads(text, object_pairs_hook=_object_without_repeats)
-    except json.JSONDecodeError as err:
-        raise ScenarioFormatError(f"line {err.lineno}, column {err.colno}: {err.msg}") from err
-    except RecursionError as err:
-        raise ScenarioFormatError("JSON nested too deeply") from err
-
-
-def _object_without_repeats(pairs: list) -> dict:
-    # json.loads would keep the last of two equal keys without a word
-    document = {}
-    for key, value in pairs:
-        if key in document:
-            raise ScenarioFormatError(f"repeated key: {key}")
-        document[key] = value
-    return document
-
-
-# ---------------------------------------------------------------------------
-# scenario files
-
-_SCENARIO_KEYS = ("central", "cusps", "double_points", "genus")
-
-
-def parse_scenario(text: str) -> DeformationScenario:
-    """Parse a scenario document.
-
-    Expected shape: {"central": [p, q], "cusps": [[p, q], ...],
-    "double_points": n, "genus": g}.  Unknown keys are rejected and every
-    descriptor constraint is enforced here, with the offending key named.
-    """
-    data = _load_json(text)
-    if not isinstance(data, dict):
-        raise ScenarioFormatError("scenario must be a JSON object")
-    unknown = sorted(set(data) - set(_SCENARIO_KEYS))
-    if unknown:
-        raise ScenarioFormatError(f"unknown keys: {', '.join(unknown)}")
-    missing = [key for key in _SCENARIO_KEYS if key not in data]
-    if missing:
-        raise ScenarioFormatError(f"missing keys: {', '.join(missing)}")
-    central = _cusp_from_json(data["central"], "central")
-    if not isinstance(data["cusps"], list):
-        raise ScenarioFormatError("cusps: expected a list of [p, q] pairs")
-    cusps = tuple(
-        _cusp_from_json(item, f"cusps[{i}]") for i, item in enumerate(data["cusps"])
-    )
-    from .deformation import DeformationScenario
-    try:
-        return DeformationScenario(central, cusps, data["double_points"], data["genus"])
-    except ValueError as err:
-        raise ScenarioFormatError(str(err)) from err
-
-
-def _cusp_from_json(item, where: str) -> Cusp:
-    if (
-        not isinstance(item, list)
-        or len(item) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-    ):
-        raise ScenarioFormatError(f"{where}: expected a pair [p, q] of integers")
-    try:
-        return Cusp(item[0], item[1])
-    except ValueError as err:
-        raise ScenarioFormatError(f"{where}: {err}") from err
-
-
-# ---------------------------------------------------------------------------
-# report documents
-
-def _report_to_document(report: ObstructionReport) -> dict:
-    """Plain-JSON rendering of a report; rationals become 'n/d' strings."""
-    return {
-        "betti": report.betti,
-        "genus_formula": {
-            "verdict": _verdict_word(report.genus_formula.holds),
-            "left": report.genus_formula.left,
-            "right": report.genus_formula.right,
-        },
-        "signature_bound": _sweep_to_document(report.signature_bound),
-        "one_sided_bound": _sweep_to_document(report.one_sided_bound),
-        "m_number_bound": {
-            "verdict": _verdict_word(report.m_number_bound.holds),
-            "left": _document_rational(report.m_number_bound.left),
-            "right": _document_rational(report.m_number_bound.right),
-            "margin": _document_rational(report.m_number_bound.margin),
-        },
-        "overall": report.overall,
-    }
-
-
-def _verdict_word(holds: bool) -> str:
-    return "holds" if holds else "fails"
-
-
-def _sweep_to_document(verdict: SweepVerdict) -> dict:
-    return {
-        "verdict": _verdict_word(verdict.holds),
-        "witness": _document_rational(verdict.witness),
-        "left": verdict.left,
-        "right": verdict.right,
-        "margin": verdict.margin,
-    }
-
-
-def serialize_report(report: ObstructionReport) -> str:
-    import json
-    return json.dumps(_report_to_document(report), indent=2)
-
-
-def parse_report(text: str) -> ObstructionReport:
-    """Rebuild a report from its document (inverse of serialize_report).
-
-    Only the sides and witnesses are read; the document must then be exactly
-    the rendering of the rebuilt report, JSON types included (a margin 2.0
-    is not 2), so "betti" must equal the signature bound's right side.
-    """
-    import json
-    from .deformation import EqualityVerdict, ObstructionReport, RationalVerdict
-    data = _load_json(text)
-    if not isinstance(data, dict):
-        raise ScenarioFormatError("report must be a JSON object")
-    try:
-        report = ObstructionReport(
-            genus_formula=EqualityVerdict(data["genus_formula"]["left"], data["genus_formula"]["right"]),
-            signature_bound=_sweep_from_document(data["signature_bound"]),
-            one_sided_bound=_sweep_from_document(data["one_sided_bound"]),
-            m_number_bound=RationalVerdict(
-                parse_rational(data["m_number_bound"]["left"]),
-                parse_rational(data["m_number_bound"]["right"]),
-            ),
-        )
-        canonical = json.dumps(_report_to_document(report), sort_keys=True)
-        consistent = json.dumps(data, sort_keys=True) == canonical
-    except (KeyError, TypeError, ValueError) as err:
-        raise ScenarioFormatError(f"malformed report document: {err}") from err
-    if not consistent:
-        raise ScenarioFormatError("report document is not the rendering of its own sides")
-    return report
-
-
-def _sweep_from_document(data: dict) -> SweepVerdict:
-    from .deformation import SweepVerdict
-    return SweepVerdict(parse_rational(data["witness"]), data["left"], data["right"])
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +61,13 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_signature(args) -> int:
     cusp = Cusp(args.p, args.q)
-    x = None if args.at is None else parse_rational(args.at)
-    from .signature import integral, torus_signature_at, torus_signature_function
-    if x is not None:
+    if args.at is not None:
+        from .documents import parse_rational
+        x = parse_rational(args.at)
+        from .signature import torus_signature_at
         print(torus_signature_at(cusp, x))
         return 0
+    from .signature import integral, torus_signature_function
     fn = torus_signature_function(cusp)
     grid = (Fraction(0), *fn.breakpoints, Fraction(1))
     for i, value in enumerate(fn.values):
@@ -248,7 +78,9 @@ def _cmd_signature(args) -> int:
 
 def _cmd_check(args) -> int:
     with open(args.path, encoding="utf-8") as f:
-        scenario = parse_scenario(f.read())
+        text = f.read()
+    from .documents import parse_scenario, serialize_report
+    scenario = parse_scenario(text)
     from .deformation import full_report
     report = full_report(scenario)
     print(serialize_report(report))
@@ -257,12 +89,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     from .enumeration import SearchBudget, count_admissible, enumerate_admissible
-    budget = SearchBudget(
-        Cusp(args.p, args.q),
-        args.max_genus,
-        args.max_double_points,
-        require_genus_formula=not args.no_genus_formula,
-    )
+    budget = SearchBudget(Cusp(args.p, args.q), args.max_genus, args.max_double_points,
+                          require_genus_formula=not args.no_genus_formula)
     if args.count:
         print(count_admissible(budget))
         return 0
@@ -276,6 +104,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_bmy(args) -> int:
     cusps = [_cusp_from_pair_text(text) for text in args.cusps]
     if args.cusps_file is not None:
+        from .documents import _cusps_from_file
         cusps.extend(_cusps_from_file(args.cusps_file))
     from .deformation import bmy_check
     verdict = bmy_check(args.p, args.q, cusps, args.double_points)
@@ -297,63 +126,95 @@ def _cusp_from_pair_text(text: str) -> Cusp:
         raise ValueError(f"cusp {text!r}: {err}") from err
 
 
-def _cusps_from_file(path: str) -> list[Cusp]:
-    with open(path, encoding="utf-8") as f:
-        data = _load_json(f.read())
-    if not isinstance(data, list):
-        raise ScenarioFormatError("cusp file must contain a JSON list of [p, q] pairs")
-    return [_cusp_from_json(item, f"cusps[{i}]") for i, item in enumerate(data)]
+# command -> (handler, help, ((name, argparse keyword arguments), ...)), with
+# the positionals first, as argparse lists them
+_PQ = (("p", {"type": int}), ("q", {"type": int}))
+_COMMANDS = {
+    "invariants": (_cmd_invariants, "print mu, M_bar, M and N2 of the (p, q) cusp", _PQ),
+    "signature": (_cmd_signature, "signature function of the (p, q) torus knot", (
+        *_PQ,
+        ("--at", {"metavar": "X", "help": "evaluate at the rational X instead of printing the whole function"}),
+    )),
+    "check": (_cmd_check, "evaluate all obstruction checks for a scenario file", (("path", {}),)),
+    "enumerate": (_cmd_enumerate, "list non-obstructed fiber configurations for a central cusp", (
+        *_PQ,
+        ("--max-genus", {"type": int, "default": 0}),
+        ("--max-double-points", {"type": int, "default": 0}),
+        ("--count", {"action": "store_true", "help": "print only the number of configurations"}),
+        ("--no-genus-formula", {"action": "store_true",
+                                "help": "do not require the genus formula to hold for emitted configurations"}),
+    )),
+    "bmy": (_cmd_bmy, "cuspidal-content bound for a parametric curve of bidegree (p, q)", (
+        *_PQ,
+        ("--cusps", {"nargs": "*", "default": [], "metavar": "P,Q", "help": "cusps of the curve, written p,q"}),
+        ("--cusps-file", {"metavar": "PATH", "help": "JSON file with a list of [p, q] pairs"}),
+        ("--double-points", {"type": int, "default": 0}),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="curvesig",
         description="Exact invariants of plane curve singularities and deformation obstruction checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_inv = sub.add_parser("invariants", help="print mu, M_bar, M and N2 of the (p, q) cusp")
-    p_inv.add_argument("p", type=int)
-    p_inv.add_argument("q", type=int)
-    p_inv.set_defaults(handler=_cmd_invariants)
-
-    p_sig = sub.add_parser("signature", help="signature function of the (p, q) torus knot")
-    p_sig.add_argument("p", type=int)
-    p_sig.add_argument("q", type=int)
-    p_sig.add_argument("--at", metavar="X", help="evaluate at the rational X instead of printing the whole function")
-    p_sig.set_defaults(handler=_cmd_signature)
-
-    p_check = sub.add_parser("check", help="evaluate all obstruction checks for a scenario file")
-    p_check.add_argument("path")
-    p_check.set_defaults(handler=_cmd_check)
-
-    p_enum = sub.add_parser("enumerate", help="list non-obstructed fiber configurations for a central cusp")
-    p_enum.add_argument("p", type=int)
-    p_enum.add_argument("q", type=int)
-    p_enum.add_argument("--max-genus", type=int, default=0)
-    p_enum.add_argument("--max-double-points", type=int, default=0)
-    p_enum.add_argument("--count", action="store_true", help="print only the number of configurations")
-    p_enum.add_argument(
-        "--no-genus-formula",
-        action="store_true",
-        help="do not require the genus formula to hold for emitted configurations",
-    )
-    p_enum.set_defaults(handler=_cmd_enumerate)
-
-    p_bmy = sub.add_parser("bmy", help="cuspidal-content bound for a parametric curve of bidegree (p, q)")
-    p_bmy.add_argument("p", type=int)
-    p_bmy.add_argument("q", type=int)
-    p_bmy.add_argument("--cusps", nargs="*", default=[], metavar="P,Q", help="cusps of the curve, written p,q")
-    p_bmy.add_argument("--cusps-file", metavar="PATH", help="JSON file with a list of [p, q] pairs")
-    p_bmy.add_argument("--double-points", type=int, default=0)
-    p_bmy.set_defaults(handler=_cmd_bmy)
-
+    for command, (handler, help_text, arguments) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for name, spec in arguments:
+            command_parser.add_argument(name, **spec)
+        command_parser.set_defaults(handler=handler)
     return parser
 
 
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed line, or None for any other.
+
+    Well-formed: the command, its positionals, then options spelled out in
+    full, each value a token of its own, and no positional or value starting
+    with '-'.  `nargs="*"` takes the tokens up to the next one that does.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "handler": handler}
+    options = {}
+    tokens = list(reversed(argv[1:]))  # pop() takes the next token
+    try:
+        for name, spec in arguments:
+            if name.startswith("-"):
+                options[name] = spec
+                values[name[2:].replace("-", "_")] = False if spec.get("action") == "store_true" else spec.get("default")
+            elif not tokens or tokens[-1].startswith("-"):
+                return None
+            else:
+                values[name] = spec.get("type", str)(tokens.pop())
+        while tokens:
+            name = tokens.pop()
+            spec = options.get(name)
+            if spec is None:
+                return None
+            if spec.get("action") == "store_true":
+                value = True
+            elif spec.get("nargs") == "*":
+                value = []
+                while tokens and not tokens[-1].startswith("-"):
+                    value.append(spec.get("type", str)(tokens.pop()))
+            elif not tokens or tokens[-1].startswith("-"):
+                return None
+            else:
+                value = spec.get("type", str)(tokens.pop())
+            values[name[2:].replace("-", "_")] = value
+    except ValueError:  # int() refuses a token: argparse words the error
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         status = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

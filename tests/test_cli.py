@@ -357,6 +357,199 @@ class TestBmyCommand:
         assert "error:" in err
 
 
+def reference_parser():
+    """The hand-written argparse builder `curvesig.cli` had before its grammar
+    became a table, kept as the reference for the table and the reader."""
+    import argparse
+
+    cli = curvesig.cli
+    parser = argparse.ArgumentParser(
+        prog="curvesig",
+        description="Exact invariants of plane curve singularities and deformation obstruction checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_inv = sub.add_parser("invariants", help="print mu, M_bar, M and N2 of the (p, q) cusp")
+    p_inv.add_argument("p", type=int)
+    p_inv.add_argument("q", type=int)
+    p_inv.set_defaults(handler=cli._cmd_invariants)
+
+    p_sig = sub.add_parser("signature", help="signature function of the (p, q) torus knot")
+    p_sig.add_argument("p", type=int)
+    p_sig.add_argument("q", type=int)
+    p_sig.add_argument("--at", metavar="X", help="evaluate at the rational X instead of printing the whole function")
+    p_sig.set_defaults(handler=cli._cmd_signature)
+
+    p_check = sub.add_parser("check", help="evaluate all obstruction checks for a scenario file")
+    p_check.add_argument("path")
+    p_check.set_defaults(handler=cli._cmd_check)
+
+    p_enum = sub.add_parser("enumerate", help="list non-obstructed fiber configurations for a central cusp")
+    p_enum.add_argument("p", type=int)
+    p_enum.add_argument("q", type=int)
+    p_enum.add_argument("--max-genus", type=int, default=0)
+    p_enum.add_argument("--max-double-points", type=int, default=0)
+    p_enum.add_argument("--count", action="store_true", help="print only the number of configurations")
+    p_enum.add_argument(
+        "--no-genus-formula",
+        action="store_true",
+        help="do not require the genus formula to hold for emitted configurations",
+    )
+    p_enum.set_defaults(handler=cli._cmd_enumerate)
+
+    p_bmy = sub.add_parser("bmy", help="cuspidal-content bound for a parametric curve of bidegree (p, q)")
+    p_bmy.add_argument("p", type=int)
+    p_bmy.add_argument("q", type=int)
+    p_bmy.add_argument("--cusps", nargs="*", default=[], metavar="P,Q", help="cusps of the curve, written p,q")
+    p_bmy.add_argument("--cusps-file", metavar="PATH", help="JSON file with a list of [p, q] pairs")
+    p_bmy.add_argument("--double-points", type=int, default=0)
+    p_bmy.set_defaults(handler=cli._cmd_bmy)
+
+    return parser
+
+
+def subparsers(parser):
+    import argparse
+
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# token pools of the random command lines: well-formed values, then tokens
+# only argparse reads (abbreviations, '=' forms, '--', help, values starting
+# with '-') and tokens int() or argparse refuse
+ARGV_VALUES = {
+    "int": ["2", "3", "5", "7", "0", "12", "+4", " 5", "٣", "1_0", "007"],
+    "text": ["2/5", "3/10", "x", "", "2,3", "bench/cli_inputs/mixed.json", "a b", "=", "1e3"],
+}
+ARGV_NOISE = [
+    "invariants", "signature", "check", "enumerate", "bmy", "-1", "-2,3", "-1/3", "2.5", "²",
+    "--at", "--max-genus", "--max-double-points", "--count", "--no-genus-formula", "--cusps",
+    "--cusps-file", "--double-points", "--max-g", "--cusps-f", "--co", "--no", "--max-genus=1",
+    "--at=2/5", "--cusps=2,3", "--", "-h", "--help", "-", "-x", "--unknown", "9" * 5000,
+]
+# command -> (positional pools, option -> value pool or None for a flag)
+ARGV_GRAMMAR = {
+    "invariants": (["int", "int"], {}),
+    "signature": (["int", "int"], {"--at": "text"}),
+    "check": (["text"], {}),
+    "enumerate": (["int", "int"], {"--max-genus": "int", "--max-double-points": "int",
+                                   "--count": None, "--no-genus-formula": None}),
+    "bmy": (["int", "int"], {"--cusps": "list", "--cusps-file": "text", "--double-points": "int"}),
+}
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    if rng.random() < 0.25:
+        pool = ARGV_NOISE + ARGV_VALUES["int"] + ARGV_VALUES["text"]
+        return [rng.choice(pool) for _ in range(rng.randrange(8))]
+    command = rng.choice(list(ARGV_GRAMMAR))
+    positionals, options = ARGV_GRAMMAR[command]
+    argv = [command, *(rng.choice(ARGV_VALUES[pool]) for pool in positionals)]
+    for _ in range(rng.randrange(4)):
+        option = rng.choice([*options, "--count"]) if options else "--count"
+        pool = options.get(option)
+        spelling = option[:rng.randrange(3, len(option))] if rng.random() < 0.15 else option
+        if pool in ("int", "text") and rng.random() < 0.15:
+            argv.append(f"{spelling}={rng.choice(ARGV_VALUES[pool])}")
+            continue
+        argv.append(spelling)
+        if pool == "list":
+            argv += rng.choices(ARGV_VALUES["text"] + ARGV_VALUES["int"], k=rng.randrange(4))
+        elif pool is not None:
+            argv.append(rng.choice(ARGV_VALUES[pool]))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        at = rng.randrange(len(argv) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            argv.insert(at, rng.choice(ARGV_NOISE))
+        elif at < len(argv):
+            if edit == 1:
+                del argv[at]
+            else:
+                argv[at] = rng.choice(ARGV_NOISE)
+    return argv
+
+
+def reference_namespace(parser, argv):
+    """vars() of the reference's namespace, or None where argparse exits."""
+    import contextlib
+    import io
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestArgvReader:
+    """`_read_argv` reads a well-formed line to exactly argparse's namespace
+    and leaves every other line to argparse, which the table also builds."""
+
+    GOLDEN = [c["args"] for c in json.loads((ROOT / "bench" / "expected" / "cli.json").read_text())]
+
+    def test_help_is_the_reference_help(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        built, reference = curvesig.cli._build_parser(), reference_parser()
+        assert built.format_help() == reference.format_help()
+        ours, theirs = subparsers(built), subparsers(reference)
+        assert list(ours) == list(theirs) == list(curvesig.cli._COMMANDS)
+        for command in theirs:
+            assert ours[command].format_help() == theirs[command].format_help(), command
+
+    def test_golden_lines(self):
+        reference = reference_parser()
+        read = {" ".join(argv) for argv in self.GOLDEN if curvesig.cli._read_argv(argv) is not None}
+        assert read == {" ".join(argv) for argv in self.GOLDEN} - {
+            "invariants 2", "enumerate 2 7 --max-genus -1"}
+        for argv in self.GOLDEN:
+            self.assert_agrees(reference, argv)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_lines_agree_with_argparse(self, seed):
+        rng = random.Random(2500 + seed)
+        reference = reference_parser()
+        outcomes = [self.assert_agrees(reference, random_argv(rng)) for _ in range(1500)]
+        # both readers get a real share of the lines, refused lines included
+        assert outcomes.count("read") > 200
+        assert outcomes.count("refused") > 500
+        assert outcomes.count("argparse") > 30
+
+    @staticmethod
+    def assert_agrees(reference, argv) -> str:
+        ours = curvesig.cli._read_argv(list(argv))
+        theirs = reference_namespace(reference, list(argv))
+        if ours is None:
+            return "refused" if theirs is None else "argparse"
+        assert theirs is not None, argv
+        ours = vars(ours)
+        assert ours.pop("handler") is theirs.pop("handler"), argv
+        assert ours == theirs, argv
+        assert [type(v) for v in ours.values()] == [type(theirs[k]) for k in ours], argv
+        return "read"
+
+    def test_help_goes_through_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: curvesig")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "2", "7", "--max-g", "0", "--max-d", "1"],
+            ["enumerate", "2", "7", "--max-genus=0", "--max-double-points=1"],
+        ],
+        ids=["abbreviated", "equals"],
+    )
+    def test_other_spellings_go_through_argparse(self, capsys, argv):
+        assert curvesig.cli._read_argv(argv) is None
+        expected = run(capsys, "enumerate", "2", "7", "--max-genus", "0", "--max-double-points", "1")
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, *argv) == expected
+
+
 class TestReportDocuments:
     def scenarios(self):
         a2, a4, a6 = Cusp(2, 3), Cusp(2, 5), Cusp(2, 7)
@@ -556,36 +749,51 @@ class TestImportPath:
         [
             (["invariants", "2", "3"], ["singularities"], False),
             (["signature", "2", "5"], ["singularities", "signature"], False),
-            (["check", "bench/cli_inputs/mixed.json"], ["singularities", "deformation"], True),
+            (["signature", "3", "7", "--at", "2/5"], ["singularities", "documents", "signature"], False),
+            (["check", "bench/cli_inputs/mixed.json"], ["singularities", "documents", "deformation"], True),
             (["bmy", "3", "4", "--cusps", "2,3"], ["singularities", "deformation"], False),
             (["enumerate", "2", "7", "--count"], ["singularities", "deformation", "enumeration"], False),
         ],
-        ids=["invariants", "signature", "check", "bmy", "enumerate"],
+        ids=["invariants", "signature", "signature_at", "check", "bmy", "enumerate"],
     )
     def test_command_loads_only_the_modules_it_runs(self, run_cli, argv, modules, loads_json):
         proc = run_cli(argv)
         assert proc.returncode in (0, 1), proc.stderr
         self.assert_loaded(proc, modules, loads_json)
 
+    def test_cusps_file_loads_documents(self, run_cli, tmp_path):
+        path = tmp_path / "cusps.json"
+        path.write_text(json.dumps([[2, 3], [2, 3], [2, 3]]))
+        proc = run_cli(["bmy", "3", "4", "--cusps-file", str(path)])
+        assert proc.returncode == 1, proc.stderr
+        self.assert_loaded(proc, ["singularities", "documents", "deformation"], True)
+
     # an input error found in argv or in the document stops before the library computes
     @pytest.mark.parametrize(
-        "argv,loads_json",
+        "argv,modules,loads_json",
         [
-            (["check", "bench/cli_inputs/does_not_exist.json"], False),
-            (["check", "bench/cli_inputs/bad_json.json"], True),
-            (["check", "bench/cli_inputs/unknown_key.json"], True),
-            (["check", "bench/cli_inputs/not_coprime.json"], True),
-            (["bmy", "3", "4", "--cusps", "2,3,4"], False),
+            (["check", "bench/cli_inputs/does_not_exist.json"], ["singularities"], False),
+            (["check", "bench/cli_inputs/bad_json.json"], ["singularities", "documents"], True),
+            (["check", "bench/cli_inputs/unknown_key.json"], ["singularities", "documents"], True),
+            (["check", "bench/cli_inputs/not_coprime.json"], ["singularities", "documents"], True),
+            (["bmy", "3", "4", "--cusps", "2,3,4"], ["singularities"], False),
         ],
         ids=["missing", "bad_json", "unknown_key", "not_coprime", "bmy_bad_pair"],
     )
-    def test_input_error_loads_only_singularities(self, run_cli, argv, loads_json):
+    def test_input_error_stops_before_the_library(self, run_cli, argv, modules, loads_json):
         proc = run_cli(argv)
         assert (proc.returncode, proc.stdout) == (2, "")
-        self.assert_loaded(proc, ["singularities"], loads_json)
+        self.assert_loaded(proc, modules, loads_json)
+
+    # a line the reader refuses goes to argparse, which words help and diagnostics
+    @pytest.mark.parametrize("argv,status", [(["invariants", "2"], 2), (["--help"], 0)], ids=["invariants_2", "help"])
+    def test_refused_line_loads_argparse(self, run_cli, argv, status):
+        proc = run_cli(argv)
+        assert proc.returncode == status
+        self.assert_loaded(proc, ["singularities"], False, loads_argparse=True)
 
     @staticmethod
-    def assert_loaded(proc, modules, loads_json):
+    def assert_loaded(proc, modules, loads_json, loads_argparse=False):
         loaded = {
             line.rpartition("|")[2].strip()
             for line in proc.stderr.splitlines()
@@ -593,6 +801,9 @@ class TestImportPath:
         }
         assert {name for name in loaded if name.startswith("curvesig.")} == {f"curvesig.{m}" for m in modules}
         assert ("json" in loaded) == loads_json
+        assert ("argparse" in loaded) == loads_argparse
+        # the running module is __main__; importing curvesig.cli would compile it twice
+        assert "curvesig.cli" not in loaded
         assert "cmath" not in loaded
 
     def test_deformation_and_enumeration_leave_signature_unloaded(self, run_python):
@@ -644,6 +855,14 @@ class TestImportPath:
             "parse_report",
             "main",
         ]
+
+    def test_document_names_resolve_in_documents(self):
+        from curvesig import documents
+
+        for name in ("ScenarioFormatError", "parse_rational", "parse_scenario", "serialize_report", "parse_report"):
+            assert getattr(curvesig.cli, name) is getattr(documents, name)
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            curvesig.cli.no_such_name
 
     def test_console_script_runs_main(self):
         # a generated console script calls sys.exit on what main returns
