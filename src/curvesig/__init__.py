@@ -4,30 +4,60 @@ integrals, obstruction checks for deformation scenarios, and a pruned search
 over non-obstructed fiber configurations.
 
 `import curvesig` loads no module of the package.  The first use of a name
-loads singularities, signature, deformation and enumeration in that order,
-up to the one that defines it; each module imports only the ones before it.
+loads the one module that defines it, with the modules that module imports:
+`signature` and `deformation` each import `singularities`, and `enumeration`
+imports `deformation`.  A module name, such as `curvesig.deformation`, loads
+that module the same way.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-_MODULES = ("singularities", "signature", "deformation", "enumeration")
+# the module that defines each public name, in the order of __all__
+_HOMES = {
+    "Cusp": "singularities",
+    "milnor_number": "singularities",
+    "m_number": "singularities",
+    "m_bar_number": "singularities",
+    "n_squared_defect": "singularities",
+    "BreakpointEvaluation": "signature",
+    "NearSingularForm": "signature",
+    "StepFunction": "signature",
+    "SeifertMatrix": "signature",
+    "jump_set": "signature",
+    "torus_signature_at": "signature",
+    "torus_signature_function": "signature",
+    "integral": "signature",
+    "bidiagonal_seifert": "signature",
+    "seifert_signature_at": "signature",
+    "DeformationScenario": "deformation",
+    "EqualityVerdict": "deformation",
+    "SweepVerdict": "deformation",
+    "RationalVerdict": "deformation",
+    "ObstructionReport": "deformation",
+    "full_report": "deformation",
+    "bmy_check": "deformation",
+    "SearchBudget": "enumeration",
+    "SearchResult": "enumeration",
+    "candidate_cusps": "enumeration",
+    "enumerate_admissible": "enumeration",
+    "count_admissible": "enumeration",
+}
+
+__all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name: str):
-    namespace = globals()
-    # safe because each module imports only the modules before it in _MODULES
-    for module_name in _MODULES:
-        module = import_module(f"{__name__}.{module_name}")
-        namespace.update((key, getattr(module, key)) for key in module.__all__)
-        if name in namespace:
-            return namespace[name]
-    if name == "__all__":
-        namespace[name] = ["__version__", *(key for m in _MODULES for key in namespace[m].__all__)]
-        return namespace[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _HOMES.get(name, name)
+    if home not in _HOMES.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{home}")
+    if home == name:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__getattr__("__all__")})
+    return sorted({*globals(), *__all__})

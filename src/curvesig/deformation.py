@@ -26,9 +26,9 @@ a = sigma_0 - sum_k sigma_k is a step function of the cusps alone:
   (d) with it, R fixes g = (mu_0 - sum_k mu_k)/2 - R.
 
 `full_report` is the one route to all four verdicts; `bmy_check` is the
-M-number bound at genus 0.  Both sweeps share one pass that merges the integer
-signature events of each distinct cusp (`singularities._events`), weighted by
-its multiplicity, into a running sum of a.  Verdicts store only their exact
+M-number bound at genus 0.  Both sweeps read a from one integer profile: the
+kernel `singularities._profile`, over the cusps weighted by multiplicity, that
+also builds each `StepFunction`.  Verdicts store only their exact
 sides (and witness); `holds` and a report's `overall` and `betti` are derived
 from them.  Each record refuses a field of the wrong type with TypeError (a
 bool or a float is never an exact side) and a witness outside (0, 1) with
@@ -42,11 +42,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
-from math import lcm
 from typing import Iterable
 
-from .singularities import Cusp, _Record, _events, m_number, milnor_number
+from .singularities import Cusp, _Record, _profile, m_number, milnor_number
 
 __all__ = [
     "DeformationScenario",
@@ -208,25 +206,14 @@ class ObstructionReport(_Record):
 
 
 def _sweeps(scenario: DeformationScenario) -> tuple[SweepVerdict, SweepVerdict]:
-    """(signature bound, one-sided bound), swept together over the intervals
-    cut out of (0, 1) by all breakpoints of the central and fiber cusps.
-
-    Each distinct cusp's events are scaled to the denominator D = lcm(pq)
-    and weighted by +1 as the central cusp and -1 per fiber copy; a cusp of
-    net weight 0 still cuts the intervals.  One sort and a running sum give
-    a = sigma_0 - sum_k sigma_k per interval; the witness is the midpoint of
-    the first interval with the largest left side.
-    """
+    """(signature bound, one-sided bound) from one profile: weight +1 for the
+    central cusp and -1 per fiber copy give a = sigma_0 - sum_k sigma_k on
+    each interval cut out of (0, 1) by all their breakpoints.  The witness is
+    the midpoint of the first interval with the largest left side."""
     weights = Counter({scenario.central: 1})
     weights.subtract(scenario.cusps)
-    denominator = lcm(*(c.p * c.q for c in weights))
-    steps = Counter()
-    for cusp, weight in weights.items():
-        scale = denominator // (cusp.p * cusp.q)
-        steps.update({n * scale: weight * step for n, step in _events(cusp)})
-    positions, deltas = zip(*sorted(steps.items()))
-    cuts = (0, *positions, denominator)
-    a = list(accumulate(deltas, initial=0))
+    denominator, cuts, a = _profile(weights)
+    cuts = (0, *cuts, denominator)
 
     def verdict(left: list[int], right: int) -> SweepVerdict:
         i = max(range(len(left)), key=left.__getitem__)  # the first maximiser

@@ -14,13 +14,14 @@ number inside.  As x grows, a jump n < pq leaves the window at n/(pq) and
 raises the value by 2, and a jump n > pq enters it at (n - pq)/(pq) and
 lowers it by 2; the value starts at 0 because the jumps are symmetric
 about 1.  The step function is therefore a running sum over these integer
-events, which `singularities._events` sorts, and its integral over (0, 1) is
-an exact rational.  The folded positions are distinct as well, so each
-breakpoint is a single jump and `StepFunction` accepts only strictly
-increasing breakpoints.  `torus_signature_at` counts the window directly
-instead, so it stays an oracle independent of the scan.  Values at the jumps
-themselves are undefined: evaluating there raises `BreakpointEvaluation`
-rather than picking one of the competing averaging conventions.
+events, which `singularities._profile` merges, and its integral over (0, 1)
+is an exact rational.  The folded positions are distinct as well, so each
+breakpoint is a single jump, and `StepFunction` keeps them as strictly
+increasing integer cuts over the one denominator pq.  `torus_signature_at`
+counts the window directly instead, so it stays an oracle independent of
+the scan.  Values at the jumps themselves are undefined: evaluating there
+raises `BreakpointEvaluation` rather than picking one of the competing
+averaging conventions.
 
 A second, floating-point route evaluates the signature of the Hermitian
 form (1 - z) V + (1 - conj(z)) V^T for a Seifert matrix V.  Only the (2, q)
@@ -32,13 +33,12 @@ largest.  It imports numpy lazily, so the exact routes need no numpy.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
-from math import lcm
+from math import gcd
 from operator import index
 
-from .singularities import Cusp, _Record, _events, _numerators
+from .singularities import Cusp, _Record, _numerators, _profile
 
 __all__ = [
     "BreakpointEvaluation",
@@ -80,41 +80,43 @@ def _unit_point(x) -> Fraction:
 class StepFunction(_Record):
     """Integer-valued piecewise constant function on (0, 1).
 
-    `values[i]` is the value on the i-th open interval cut out of (0, 1) by
-    the breakpoints, so there is exactly one more value than breakpoints.
-    The value at a breakpoint itself is undefined; evaluating there raises
-    `BreakpointEvaluation`.  Breakpoints are strictly increasing: a
-    duplicate would bound an empty interval, so it raises `ValueError`.
+    The breakpoints are cuts[i] / denominator, and `values[i]` is the value
+    on the i-th open interval they cut out of (0, 1); the value at a
+    breakpoint itself is undefined and raises `BreakpointEvaluation`.  Every
+    entry is an int, never a bool, else `TypeError`.  There is one more value
+    than cuts, the cuts increase strictly inside (0, denominator) (a duplicate
+    would bound an empty interval), and gcd(denominator, *cuts) = 1, so each
+    function has exactly one record; else `ValueError`.
     """
 
-    breakpoints: tuple[Fraction, ...]
+    denominator: int
+    cuts: tuple[int, ...]
     values: tuple[int, ...]
 
-    def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[int, ...]) -> None:
-        breakpoints = tuple(breakpoints)
+    def __init__(self, denominator: int, cuts: tuple[int, ...], values: tuple[int, ...]) -> None:
+        cuts = tuple(cuts)
         values = tuple(values)
-        if len(values) != len(breakpoints) + 1:
-            raise ValueError(
-                f"{len(breakpoints)} breakpoints require {len(breakpoints) + 1} "
-                f"interval values, got {len(values)}"
-            )
-        for b in breakpoints:
-            if not isinstance(b, Fraction):
-                raise TypeError(f"breakpoints must be Fraction, got {b!r}")
-            if not 0 < b < 1:
-                raise ValueError(f"breakpoint {b} outside the open interval (0, 1)")
-        for v in values:
-            if type(v) is not int:
-                raise TypeError(f"interval values must be int, got {v!r}")
-        if any(b2 <= b1 for b1, b2 in zip(breakpoints, breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        self.__dict__.update(breakpoints=breakpoints, values=values)
+        if any(type(bad := n) is not int for n in (denominator, *cuts, *values)):
+            raise TypeError(f"denominator, cuts and values must be int, got {bad!r}")
+        if len(values) != len(cuts) + 1:
+            raise ValueError(f"{len(cuts)} cuts require {len(cuts) + 1} interval values, got {len(values)}")
+        if not all(a < b for a, b in zip((0, *cuts), (*cuts, denominator))):
+            raise ValueError(f"cuts must be strictly increasing inside (0, {denominator}), got {cuts}")
+        if gcd(denominator, *cuts) != 1:
+            raise ValueError(f"denominator {denominator} is not the least for the cuts {cuts}")
+        self.__dict__.update(denominator=denominator, cuts=cuts, values=values)
+
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        """The cuts as points of (0, 1), in lowest terms."""
+        return tuple(Fraction(c, self.denominator) for c in self.cuts)
 
     def value_at(self, x) -> int:
         """Value on the open interval containing x, for x in (0, 1)."""
         x = _unit_point(x)
-        i = bisect_left(self.breakpoints, x)
-        if i < len(self.breakpoints) and self.breakpoints[i] == x:
+        position, rest = divmod(x.numerator * self.denominator, x.denominator)
+        i = bisect_right(self.cuts, position)
+        if rest == 0 and i and self.cuts[i - 1] == position:
             raise BreakpointEvaluation(x)
         return self.values[i]
 
@@ -155,23 +157,17 @@ def torus_signature_function(cusp: Cusp) -> StepFunction:
     p and q are coprime, and no two fold to one point).  Crossing the first kind raises the value by 2,
     crossing the second lowers it by 2, and the value starts at 0.
     """
-    pq = cusp.p * cusp.q
-    events = _events(cusp)
-    return StepFunction(
-        tuple(Fraction(n, pq) for n, _ in events),
-        tuple(accumulate((step for _, step in events), initial=0)),
-    )
+    return StepFunction(*_profile({cusp: 1}))
 
 
 def integral(f: StepFunction) -> Fraction:
     """Exact integral of a step function over (0, 1).  By Abel summation it
-    is values[-1] - sum_k b_k * (values[k] - values[k-1]), summed as integer
-    numerators over the lcm of the denominators."""
+    is values[-1] - sum_k b_k * (values[k] - values[k-1]), with each
+    breakpoint b_k = cuts[k] / denominator, summed as integers over the one
+    denominator."""
     values = f.values
-    common = lcm(*(b.denominator for b in f.breakpoints))
-    total = sum(b.numerator * (common // b.denominator) * (after - before)
-                for b, before, after in zip(f.breakpoints, values, values[1:]))
-    return Fraction(values[-1] * common - total, common)
+    total = sum(c * (after - before) for c, before, after in zip(f.cuts, values, values[1:]))
+    return Fraction(values[-1] * f.denominator - total, f.denominator)
 
 
 class SeifertMatrix(_Record):

@@ -12,7 +12,8 @@ terms.  No floating point enters this module.  The (p, q) torus knot's
 signature jumps at n/(pq) for the jump numerators n = iq + jp with
 1 <= i < p, 1 <= j < q.  `_numerators` lists them for every signature route
 and refuses a Milnor number above the cap `_MAX_MILNOR` ((300, 301) builds
-in about a second); `_events` sorts them into the integer steps that
+in about a second); `_events` sorts them into integer steps, and `_profile`
+merges the steps of weighted cusps into the integer step function that
 `signature` and `deformation` read, so the checks never load `signature`.
 
 `_Record` is the base of every value type: an immutable record of its
@@ -21,9 +22,11 @@ annotated fields, equal only to records of its own type.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import gcd
+from itertools import accumulate
+from math import gcd, lcm
 from operator import attrgetter
 
 __all__ = [
@@ -156,6 +159,20 @@ def _numerators(cusp: Cusp) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _events(cusp: Cusp) -> tuple[tuple[int, int], ...]:
-    """Sorted (position over pq, step) events of `torus_signature_function`."""
+    """Sorted (position over pq, step) events of the cusp's signature function."""
     pq = cusp.p * cusp.q
     return tuple(sorted((n, 2) if n < pq else (n - pq, -2) for n in _numerators(cusp)))
+
+
+def _profile(weights: dict[Cusp, int]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(denominator, cuts, values) of sum_c weight * sigma_c: each cusp's
+    events scaled to D = lcm(pq) and weighted (weight 0 still cuts), merged
+    by one sort into a running sum.  Each cusp's cuts are coprime to its pq
+    and the scales D/(pq) have gcd 1, so gcd(D, *cuts) = 1."""
+    denominator = lcm(*(c.p * c.q for c in weights))
+    steps = Counter()
+    for cusp, weight in weights.items():
+        scale = denominator // (cusp.p * cusp.q)
+        steps.update({n * scale: weight * step for n, step in _events(cusp)})
+    cuts, deltas = zip(*sorted(steps.items()))
+    return denominator, cuts, tuple(accumulate(deltas, initial=0))

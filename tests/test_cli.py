@@ -823,6 +823,41 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "['curvesig.singularities']"]
 
+    # the curvesig modules that the first use of a name of each module loads
+    LOADS = {
+        "singularities": ["singularities"],
+        "signature": ["signature", "singularities"],
+        "deformation": ["deformation", "singularities"],
+        "enumeration": ["deformation", "enumeration", "singularities"],
+    }
+
+    def test_package_map_holds_each_module_all(self):
+        from curvesig import deformation, enumeration, signature, singularities
+
+        homes = curvesig._HOMES
+        assert set(homes.values()) == set(self.LOADS)
+        for module in (singularities, signature, deformation, enumeration):
+            home = module.__name__.rpartition(".")[2]
+            assert [name for name in homes if homes[name] == home] == module.__all__
+
+    def test_each_name_loads_only_its_module(self, run_python):
+        # one interpreter, with every curvesig module dropped before each name,
+        # so each first use starts from a package that has loaded nothing
+        proc = run_python(
+            "import importlib, json, sys\nimport curvesig\nloads = {}\n"
+            f"for name in [*curvesig.__all__, *{list(self.LOADS)!r}]:\n"
+            "    for key in [key for key in sys.modules if key.startswith('curvesig')]:\n"
+            "        del sys.modules[key]\n"
+            "    getattr(importlib.import_module('curvesig'), name)\n"
+            "    loads[name] = sorted(key[9:] for key in sys.modules if key.startswith('curvesig.'))\n"
+            "print(json.dumps(loads))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        loads = json.loads(proc.stdout)
+        homes = curvesig._HOMES
+        assert loads == {"__version__": [], **{name: self.LOADS[homes.get(name, name)] for name in [*homes, *self.LOADS]}}
+        assert loads["full_report"] == ["deformation", "singularities"]
+
     def test_namespace_lists_every_module_name_in_order(self, run_python):
         from curvesig import deformation, enumeration, signature, singularities
 

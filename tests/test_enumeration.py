@@ -1,5 +1,7 @@
+import hashlib
 import inspect
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -172,6 +174,87 @@ class TestOracleEquivalence:
         budget = SearchBudget(central, max_genus=bound, max_double_points=bound)
         pruned = [r.scenario for r in enumerate_admissible(budget)]
         assert pruned == brute_force_results(budget)
+
+
+class TestLargeSearches:
+    """The streams of two searches that a faster walk must not change, with
+    the count and the SHA-256 of the results' reprs, one per line; a repr
+    holds every scenario field and every verdict side and witness."""
+
+    PINS = {
+        (Cusp(2, 31), 1, 2, True): (155, "3bd1a913455704001fcf1b451ca0bc796fa01bd3bfc9e8bce759da4e970652dd"),
+        (Cusp(2, 13), 1, 2, False): (70, "a27b56266bff44bd5587e9fd016af26eb429afa89cf1f549456f5b678ff14a2a"),
+    }
+
+    @pytest.mark.parametrize("search", PINS, ids=["2_31_genus_formula", "2_13_no_genus_formula"])
+    def test_stream_is_pinned(self, search):
+        lines = [repr(result) for result in enumerate_admissible(SearchBudget(*search))]
+        assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == self.PINS[search]
+
+
+# the centrals with mu_0 <= 10 and every budget up to (3, 3) with the genus
+# formula and up to (1, 1) without it, which costs most: sized so that the
+# relation tests take about 1 s and the pinned searches above about 2 s
+RELATION_CENTRALS = candidate_cusps(10)
+RELATION_BOXES = {True: (3, 3), False: (1, 1)}
+
+
+@lru_cache(maxsize=None)
+def box_results(central, genus_formula):
+    """The results of every budget (g, R) inside the relation box."""
+    max_genus, max_double_points = RELATION_BOXES[genus_formula]
+    return {
+        (g, r): list(enumerate_admissible(SearchBudget(central, g, r, genus_formula)))
+        for g in range(max_genus + 1)
+        for r in range(max_double_points + 1)
+    }
+
+
+def points(results):
+    return {(x.scenario.cusps, x.scenario.genus, x.scenario.double_points) for x in results}
+
+
+class TestSearchRelations:
+    """Relations that any correct walk satisfies, with no reference code."""
+
+    def test_central_count(self):
+        assert len(RELATION_CENTRALS) == 7
+
+    @pytest.mark.parametrize("genus_formula", [True, False])
+    @pytest.mark.parametrize("central", RELATION_CENTRALS, ids=str)
+    def test_budget_monotonicity(self, central, genus_formula):
+        # a box is the next larger box with its new points filtered out, in order
+        results = box_results(central, genus_formula)
+        for (g, r), found in results.items():
+            for larger in [(g + 1, r), (g, r + 1)]:
+                if larger in results:
+                    kept = [x for x in results[larger] if x.scenario.genus <= g and x.scenario.double_points <= r]
+                    assert found == kept, (g, r, larger)
+
+    @pytest.mark.parametrize("central", RELATION_CENTRALS, ids=str)
+    def test_up_set_without_the_genus_formula(self, central):
+        # fact (c): raising g or R inside the box keeps a point emitted
+        for (g, r), found in box_results(central, False).items():
+            emitted = points(found)
+            for cusps, genus, double_points in emitted:
+                if genus < g:
+                    assert (cusps, genus + 1, double_points) in emitted
+                if double_points < r:
+                    assert (cusps, genus, double_points + 1) in emitted
+
+    @pytest.mark.parametrize("central", RELATION_CENTRALS, ids=str)
+    def test_up_set_with_the_genus_formula(self, central):
+        # a point emitted with the genus formula passes the other three checks,
+        # so by fact (c) it and its raised points inside the box are emitted
+        # without it; those without it are the ones whose genus formula holds
+        with_formula, without = box_results(central, True), box_results(central, False)
+        for box, found in without.items():
+            assert with_formula[box] == [x for x in found if x.report.genus_formula.holds]
+            emitted = points(found)
+            for cusps, genus, double_points in points(with_formula[box]):
+                for g, r in [(genus + 1, double_points), (genus, double_points + 1)]:
+                    if g <= box[0] and r <= box[1]:
+                        assert (cusps, g, r) in emitted
 
 
 class TestCountAdmissible:

@@ -33,7 +33,7 @@ REPORT = ObstructionReport(*REPORT_ARGS)
 # each record type with positional arguments that construct it
 SAMPLES = [
     (Cusp, (2, 3)),
-    (StepFunction, ((Fraction(1, 2),), (0, 2))),
+    (StepFunction, (2, (1,), (0, 2))),
     (SeifertMatrix, (((-1, 1), (0, -1)),)),
     (DeformationScenario, (Cusp(2, 7), (Cusp(2, 3),), 1, 0)),
     (EqualityVerdict, (6, 4)),

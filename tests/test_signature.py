@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -24,7 +24,7 @@ from curvesig import (
     torus_signature_at,
     torus_signature_function,
 )
-from curvesig.singularities import _MAX_MILNOR
+from curvesig.singularities import _MAX_MILNOR, _profile
 
 SMALL_PAIRS = [(p, q) for p in range(2, 7) for q in range(p + 1, 16) if gcd(p, q) == 1 and p * q <= 30]
 WINDOW_PAIRS = [(p, q) for p in range(2, 13) for q in range(p + 1, 76) if gcd(p, q) == 1 and p * q <= 150]
@@ -158,6 +158,34 @@ class TestTorusSignatureFunction:
                 torus_signature_at(cusp, b)
 
 
+class TestProfile:
+    @pytest.mark.parametrize("p,q", [*SMALL_PAIRS, (7, 11), (13, 20), (30, 61)])
+    def test_one_cusp_is_its_signature_function(self, p, q):
+        cusp = Cusp(p, q)
+        fn = torus_signature_function(cusp)
+        assert _profile({cusp: 1}) == (fn.denominator, fn.cuts, fn.values)
+        assert fn.denominator == p * q
+
+    def test_weight_zero_still_cuts(self):
+        # (2,3) cuts at 5/30 and 25/30 without a step
+        assert _profile({Cusp(2, 3): 0, Cusp(2, 5): 1}) == (
+            30, (3, 5, 9, 21, 25, 27), (0, -2, -2, -4, -2, -2, 0)
+        )
+
+    def test_weighted_sum_against_the_window_count(self):
+        # every profile is a valid record (least denominator included), and
+        # its value is the weighted sum of the independent window counts
+        rng = random.Random(29)
+        pool = [Cusp(p, q) for p, q in SMALL_PAIRS]
+        for _ in range(40):
+            weights = {c: rng.randint(-3, 3) for c in rng.sample(pool, rng.randint(1, 4))}
+            fn = StepFunction(*_profile(weights))
+            grid = (Fraction(0), *fn.breakpoints, Fraction(1))
+            for lo, hi, value in zip(grid, grid[1:], fn.values):
+                x = (lo + hi) / 2
+                assert value == sum(w * torus_signature_at(c, x) for c, w in weights.items()), (weights, x)
+
+
 class TestMilnorCap:
     # mu = 316 * 317 = 100 172, just above the cap
     OVER_CAP = Cusp(317, 318)
@@ -189,7 +217,7 @@ class TestIntegral:
         assert integral(torus_signature_function(Cusp(2, 5))) == Fraction(-12, 5)
 
     def test_constant_zero(self):
-        assert integral(StepFunction((), (0,))) == 0
+        assert integral(StepFunction(1, (), (0,))) == 0
 
     @pytest.mark.parametrize("p,q", SMALL_PAIRS)
     def test_matches_midpoint_riemann_sum(self, p, q):
@@ -215,7 +243,11 @@ class TestIntegral:
                 denominator = rng.randint(2, 400)
                 breakpoints.add(Fraction(rng.randint(1, denominator - 1), denominator))
             values = [rng.randint(-50, 50) for _ in range(n + 1)]
-            fn = StepFunction(tuple(sorted(breakpoints)), tuple(values))
+            # breakpoints of mixed denominators, held as cuts over their lcm
+            common = lcm(*(b.denominator for b in breakpoints))
+            cuts = sorted(b.numerator * (common // b.denominator) for b in breakpoints)
+            fn = StepFunction(common, tuple(cuts), tuple(values))
+            assert fn.breakpoints == tuple(sorted(breakpoints))
             assert integral(fn) == self.per_interval_sum(fn), fn
         for p, q in [(2, 5), (7, 11), (13, 20), (30, 61)]:
             fn = torus_signature_function(Cusp(p, q))
@@ -241,55 +273,96 @@ class TestIntegral:
 
 class TestStepFunction:
     def test_value_lookup(self):
-        fn = StepFunction((Fraction(1, 4), Fraction(1, 2)), (5, -3, 7))
+        fn = StepFunction(4, (1, 2), (5, -3, 7))
         assert fn.value_at(Fraction(1, 8)) == 5
         assert fn.value_at(Fraction(3, 8)) == -3
         assert fn.value_at(Fraction(3, 4)) == 7
 
     def test_value_at_breakpoint_raises(self):
-        fn = StepFunction((Fraction(1, 4),), (1, 2))
+        fn = StepFunction(4, (1,), (1, 2))
         with pytest.raises(BreakpointEvaluation):
             fn.value_at(Fraction(1, 4))
+        # breakpoints in lower terms than the denominator, such as 14/20 = 7/10
+        fn = torus_signature_function(Cusp(4, 5))
+        assert Fraction(7, 10) in fn.breakpoints
+        for b in fn.breakpoints:
+            with pytest.raises(BreakpointEvaluation):
+                fn.value_at(b)
 
     def test_value_outside_domain_raises(self):
-        fn = StepFunction((Fraction(1, 4),), (1, 2))
+        fn = StepFunction(4, (1,), (1, 2))
         with pytest.raises(ValueError):
             fn.value_at(Fraction(1))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            StepFunction((Fraction(1, 2),), (1,))
+            StepFunction(2, (1,), (1,))
 
     def test_breakpoints_must_be_interior(self):
         with pytest.raises(ValueError):
-            StepFunction((Fraction(0),), (1, 2))
+            StepFunction(2, (0,), (1, 2))
         with pytest.raises(ValueError):
-            StepFunction((Fraction(1),), (1, 2))
+            StepFunction(2, (2,), (1, 2))
 
     def test_breakpoints_must_be_sorted(self):
         with pytest.raises(ValueError):
-            StepFunction((Fraction(1, 2), Fraction(1, 4)), (1, 2, 3))
+            StepFunction(4, (2, 1), (1, 2, 3))
 
     def test_duplicate_breakpoints_rejected(self):
         # a duplicate would bound an empty interval, whose value means nothing
         with pytest.raises(ValueError, match="strictly increasing"):
-            StepFunction((Fraction(1, 6), Fraction(1, 6), Fraction(5, 6)), (0, 99, -2, 0))
+            StepFunction(6, (1, 1, 5), (0, 99, -2, 0))
 
     def test_rejects_float_breakpoints_and_values(self):
         with pytest.raises(TypeError):
-            StepFunction((0.25,), (1, 2))
+            StepFunction(4, (1.0,), (1, 2))
         with pytest.raises(TypeError):
-            StepFunction((Fraction(1, 4),), (1.0, 2))
+            StepFunction(4, (1,), (1.0, 2))
 
     def test_rejects_bool_values(self):
         # an exact int is never a bool: True and False are not interval values
         with pytest.raises(TypeError):
-            StepFunction((Fraction(1, 2),), (True, False))
+            StepFunction(2, (1,), (True, False))
         with pytest.raises(TypeError):
-            StepFunction((), (False,))
+            StepFunction(1, (), (False,))
+
+    @pytest.mark.parametrize(
+        "args,error",
+        [
+            ((8, (2,), (1, 2)), ValueError),
+            ((6, (2, 4), (0, 1, 0)), ValueError),
+            ((2, (), (0,)), ValueError),
+            ((2, (True,), (1, 2)), TypeError),
+            ((4, (0.25,), (1, 2)), TypeError),
+            ((True, (), (0,)), TypeError),
+            ((4.0, (1,), (1, 2)), TypeError),
+            ((Fraction(4), (1,), (1, 2)), TypeError),
+            ((4, (0, 1), (1, 2, 3)), ValueError),
+            ((4, (1, 4), (1, 2, 3)), ValueError),
+            ((4, (-1, 1), (1, 2, 3)), ValueError),
+            ((4, (1, 1, 3), (1, 2, 3, 4)), ValueError),
+            ((0, (), (0,)), ValueError),
+            ((-3, (1,), (1, 2)), ValueError),
+        ],
+        ids=[
+            "not_least_1_over_4", "not_least_thirds", "not_least_constant", "bool_cut", "float_cut",
+            "bool_denominator", "float_denominator", "fraction_denominator", "cut_at_0",
+            "cut_at_denominator", "negative_cut", "duplicate_cut", "zero_denominator",
+            "negative_denominator",
+        ],
+    )
+    def test_refuses(self, args, error):
+        with pytest.raises(error):
+            StepFunction(*args)
+
+    def test_one_record_per_function(self):
+        # the least denominator makes equal functions equal records
+        assert StepFunction(1, (), (0,)) == StepFunction(1, [], [0])
+        assert StepFunction(4, (1, 3), (0, 1, 0)).breakpoints == (Fraction(1, 4), Fraction(3, 4))
+        assert torus_signature_function(Cusp(2, 5)) == StepFunction(10, (1, 3, 7, 9), (0, -2, -4, -2, 0))
 
     def test_integral_ignores_breakpoints(self):
-        fn = StepFunction((Fraction(1, 3),), (3, -3))
+        fn = StepFunction(3, (1,), (3, -3))
         assert integral(fn) == 3 * Fraction(1, 3) + (-3) * Fraction(2, 3)
 
     def test_integral_is_a_function_only(self):
