@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Checks of the package installed without extras: numpy stays absent, a bare
 # import loads nothing, and the console script answers with the documented
-# exit statuses.  Run it from the repository root with `python` and the
-# `curvesig` console script on PATH:
+# exit statuses and replays the recorded command lines of
+# bench/expected/cli.json.  Run it from the repository root with `python`
+# and the `curvesig` console script on PATH:
 #
 #     pip install . && bash ci/minimal.sh
 #
@@ -56,6 +57,21 @@ expect 0 curvesig check bench/cli_inputs/admissible.json
 expect 1 curvesig check bench/cli_inputs/obstructed.json
 expect 0 curvesig enumerate 2 7 --max-genus 0 --max-double-points 1 --count
 expect 0 timeout 10 curvesig enumerate 2 3 --max-genus 99999999999999999999 --count
+
+# the recorded command lines replay with their exit statuses and stdout, byte
+# for byte; bench/expected/cli.json is only read
+differ=$(python -c "
+import json, subprocess
+with open('bench/expected/cli.json', encoding='utf-8') as f:
+    commands = json.load(f)
+for command in commands:
+    proc = subprocess.run(['curvesig', *command['args']], capture_output=True, encoding='utf-8')
+    if (proc.returncode, proc.stdout) != (command['status'], command['stdout']):
+        print(' '.join(command['args']), end='; ')
+") || fail "the recorded command lines could not be replayed"
+if [ -n "$differ" ]; then
+  fail "these recorded command lines changed status or stdout: $differ"
+fi
 
 # lines the argv reader refuses go to argparse: help, abbreviations, '=' forms
 out=$(curvesig --help) || fail "'curvesig --help' exited with $?, expected 0"

@@ -3,6 +3,10 @@ Tristram-Levine signature functions of torus knots with exact rational
 integrals, obstruction checks for deformation scenarios, and a pruned search
 over non-obstructed fiber configurations.
 
+`_EXPORTS` declares each public name once, in the row of the library module
+that defines it, and that module's `__all__` is its row.  The document format
+(`curvesig.documents`) and the command line (`curvesig.cli`) declare their own.
+
 `import curvesig` loads no module of the package.  The first use of a name
 loads the one module that defines it, with the modules that module imports:
 `signature` and `deformation` each import `singularities`, and `enumeration`
@@ -14,43 +18,54 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the module that defines each public name, in the order of __all__
-_HOMES = {
-    "Cusp": "singularities",
-    "milnor_number": "singularities",
-    "m_number": "singularities",
-    "m_bar_number": "singularities",
-    "n_squared_defect": "singularities",
-    "BreakpointEvaluation": "signature",
-    "NearSingularForm": "signature",
-    "StepFunction": "signature",
-    "SeifertMatrix": "signature",
-    "jump_set": "signature",
-    "torus_signature_at": "signature",
-    "torus_signature_function": "signature",
-    "integral": "signature",
-    "bidiagonal_seifert": "signature",
-    "seifert_signature_at": "signature",
-    "DeformationScenario": "deformation",
-    "EqualityVerdict": "deformation",
-    "SweepVerdict": "deformation",
-    "RationalVerdict": "deformation",
-    "ObstructionReport": "deformation",
-    "full_report": "deformation",
-    "bmy_check": "deformation",
-    "SearchBudget": "enumeration",
-    "SearchResult": "enumeration",
-    "candidate_cusps": "enumeration",
-    "enumerate_admissible": "enumeration",
-    "count_admissible": "enumeration",
+# each library module and its public names, in the order of __all__
+_EXPORTS = {
+    "singularities": [
+        "Cusp",
+        "milnor_number",
+        "m_number",
+        "m_bar_number",
+        "n_squared_defect",
+    ],
+    "signature": [
+        "BreakpointEvaluation",
+        "NearSingularForm",
+        "StepFunction",
+        "SeifertMatrix",
+        "jump_set",
+        "torus_signature_at",
+        "torus_signature_function",
+        "integral",
+        "bidiagonal_seifert",
+        "seifert_signature_at",
+    ],
+    "deformation": [
+        "DeformationScenario",
+        "EqualityVerdict",
+        "SweepVerdict",
+        "RationalVerdict",
+        "ObstructionReport",
+        "full_report",
+        "bmy_check",
+    ],
+    "enumeration": [
+        "SearchBudget",
+        "SearchResult",
+        "candidate_cusps",
+        "enumerate_admissible",
+        "count_admissible",
+    ],
 }
+
+# the module that defines each public name
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in names}
 
 __all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name: str):
     home = _HOMES.get(name, name)
-    if home not in _HOMES.values():
+    if home not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = import_module(f"{__name__}.{home}")
     if home == name:

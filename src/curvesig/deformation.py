@@ -44,17 +44,10 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
+from . import _EXPORTS
 from .singularities import Cusp, _Record, _profile, m_number, milnor_number
 
-__all__ = [
-    "DeformationScenario",
-    "EqualityVerdict",
-    "SweepVerdict",
-    "RationalVerdict",
-    "ObstructionReport",
-    "full_report",
-    "bmy_check",
-]
+__all__ = _EXPORTS["deformation"]
 
 # Hopf link contribution: a double point adds the constant -1 at every x.
 _DOUBLE_POINT_SIGNATURE = -1

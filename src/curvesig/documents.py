@@ -1,5 +1,7 @@
 """Scenario file format and report serialization, as the command line reads
-and writes them.  Only `check` and `bmy --cusps-file` load this module.
+and writes them.  Only `check`, `signature --at` (for the rational) and
+`bmy --cusps-file` load this module, and it is the one module that exports
+the document names.
 
 Report documents are parsed from their exact sides alone and must be exactly
 the rendering of the report those sides give: a wrong verdict word, margin or

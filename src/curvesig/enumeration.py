@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
+from . import _EXPORTS
 from .deformation import (
     DeformationScenario,
     ObstructionReport,
@@ -39,13 +40,7 @@ from .deformation import (
 )
 from .singularities import Cusp, _Record, _events, m_number, milnor_number
 
-__all__ = [
-    "SearchBudget",
-    "SearchResult",
-    "candidate_cusps",
-    "enumerate_admissible",
-    "count_admissible",
-]
+__all__ = _EXPORTS["enumeration"]
 
 
 class SearchBudget(_Record):

@@ -38,20 +38,10 @@ from fractions import Fraction
 from math import gcd
 from operator import index
 
+from . import _EXPORTS
 from .singularities import Cusp, _Record, _numerators, _profile
 
-__all__ = [
-    "BreakpointEvaluation",
-    "NearSingularForm",
-    "StepFunction",
-    "SeifertMatrix",
-    "jump_set",
-    "torus_signature_at",
-    "torus_signature_function",
-    "integral",
-    "bidiagonal_seifert",
-    "seifert_signature_at",
-]
+__all__ = _EXPORTS["signature"]
 
 
 class BreakpointEvaluation(ValueError):

@@ -29,13 +29,9 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import attrgetter
 
-__all__ = [
-    "Cusp",
-    "milnor_number",
-    "m_number",
-    "m_bar_number",
-    "n_squared_defect",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["singularities"]
 
 
 class _Record:
@@ -159,7 +155,9 @@ def _numerators(cusp: Cusp) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _events(cusp: Cusp) -> tuple[tuple[int, int], ...]:
-    """Sorted (position over pq, step) events of the cusp's signature function."""
+    """Sorted (position over pq, step) events of the cusp's signature function.
+    The sort is cached with them, so the sort in each `_profile` call merges
+    presorted runs instead of sorting every event again."""
     pq = cusp.p * cusp.q
     return tuple(sorted((n, 2) if n < pq else (n - pq, -2) for n in _numerators(cusp)))
 

@@ -28,7 +28,7 @@ from curvesig import (
     torus_signature_at,
     torus_signature_function,
 )
-from curvesig.cli import parse_report, serialize_report
+from curvesig.documents import parse_report, serialize_report
 
 GRID = [
     (p, q)

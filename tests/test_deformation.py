@@ -20,7 +20,7 @@ from curvesig import (
     torus_signature_at,
     torus_signature_function,
 )
-from curvesig.cli import ScenarioFormatError, parse_report, serialize_report
+from curvesig.documents import ScenarioFormatError, parse_report, serialize_report
 
 A2 = Cusp(2, 3)
 A4 = Cusp(2, 5)
