@@ -29,6 +29,7 @@ from curvesig import (
     torus_signature_function,
 )
 from curvesig.documents import parse_report, serialize_report
+from oracles import brute_force_results, random_non_breakpoint, verdicts
 
 GRID = [
     (p, q)
@@ -81,13 +82,8 @@ def test_2_seifert_oracle_equivalence():
     for q in (3, 5, 7, 9, 11):
         cusp = Cusp(2, q)
         matrix = bidiagonal_seifert(q)
-        jumps = jump_set(cusp)
-        samples = 0
-        while samples < 200:
-            x = Fraction(rng.randint(1, 9999), 10000)
-            if x in jumps or x + 1 in jumps:
-                continue
-            samples += 1
+        for _ in range(200):
+            x = random_non_breakpoint(rng, cusp)
             total += 1
             assert seifert_signature_at(matrix, x) == torus_signature_at(cusp, x), (q, x)
     _pass(f"[2] Seifert-matrix signatures equal the counting formula at {total} random points, zero mismatches")
@@ -116,40 +112,6 @@ def test_3_obstruction_reproduction():
     _pass("[3] (2,7) -> 3x(2,3) violated with sides 9/7 vs 2/9; (2,3) -> node admissible under all four checks")
 
 
-def _brute_force_scenarios(budget: SearchBudget):
-    """Unpruned reference: all candidate multisets with Milnor sum at most
-    the central Milnor number, crossed with the full budget box."""
-    mu_central = milnor_number(budget.central)
-    candidates = sorted(
-        Cusp(p, q)
-        for p in range(2, mu_central + 2)
-        for q in range(p + 1, mu_central + 2)
-        if gcd(p, q) == 1 and (p - 1) * (q - 1) <= mu_central
-    )
-
-    multisets = []
-
-    def extend(index, remaining, current):
-        if index == len(candidates):
-            multisets.append(tuple(current))
-            return
-        mu = milnor_number(candidates[index])
-        for count in range(remaining // mu + 1):
-            extend(index + 1, remaining - count * mu, current + [candidates[index]] * count)
-
-    extend(0, mu_central, [])
-
-    emitted = []
-    for cusps in multisets:
-        for genus in range(budget.max_genus + 1):
-            for double_points in range(budget.max_double_points + 1):
-                scenario = DeformationScenario(budget.central, cusps, double_points, genus)
-                if full_report(scenario).admissible:
-                    emitted.append(scenario)
-    emitted.sort(key=lambda s: (s.cusps, s.genus, s.double_points))
-    return emitted
-
-
 def test_4_enumeration_matches_brute_force():
     """Pruned enumeration equals unpruned brute force, as ordered lists,
     for every central cusp with Milnor number at most 12."""
@@ -163,7 +125,7 @@ def test_4_enumeration_matches_brute_force():
     for central in centrals:
         budget = SearchBudget(central, max_genus=1, max_double_points=2)
         pruned = [r.scenario for r in enumerate_admissible(budget)]
-        brute = _brute_force_scenarios(budget)
+        brute = brute_force_results(budget)
         assert pruned == brute, central
         checked += len(pruned)
     elapsed = time.monotonic() - started
@@ -236,50 +198,6 @@ def test_5_property_suites():
     )
 
 
-def _independent_verdicts(scenario: DeformationScenario):
-    """From-scratch reimplementation of the four inequalities, sharing no
-    code with the library beyond the descriptor fields."""
-
-    def sigma_multiset(p, q):
-        return sorted(Fraction(i, p) + Fraction(j, q) for i in range(1, p) for j in range(1, q))
-
-    def sigma_at(p, q, x):
-        s = sigma_multiset(p, q)
-        inside = sum(1 for e in s if x < e < x + 1)
-        return (len(s) - inside) - inside
-
-    def mu(c):
-        return (c.p - 1) * (c.q - 1)
-
-    def m(c):
-        return c.p + c.q - Fraction(c.p, c.q) - Fraction(c.q, c.p) - 1
-
-    g, r = scenario.genus, scenario.double_points
-    central, cusps = scenario.central, scenario.cusps
-
-    genus_ok = mu(central) == 2 * g + 2 * r + sum(mu(c) for c in cusps)
-
-    points = set()
-    for c in {central, *cusps}:
-        for s in sigma_multiset(c.p, c.q):
-            points.add(s if s < 1 else s - 1)
-    grid = [Fraction(0), *sorted(points), Fraction(1)]
-    midpoints = [(grid[i] + grid[i + 1]) / 2 for i in range(len(grid) - 1)]
-
-    signature_ok = True
-    one_sided_ok = True
-    for x in midpoints:
-        central_value = sigma_at(central.p, central.q, x)
-        fiber_value = sum(sigma_at(c.p, c.q, x) for c in cusps)
-        if abs(central_value - (fiber_value - r)) > 2 * g + r:
-            signature_ok = False
-        if central_value - fiber_value > 2 * g:
-            one_sided_ok = False
-
-    m_ok = sum(m(c) for c in cusps) - m(central) < 8 * g + 2 * r + Fraction(2, 9)
-    return genus_ok, signature_ok, one_sided_ok, m_ok
-
-
 def test_6_admissibility_means_only_not_obstructed():
     """Admissibility verdicts agree with a from-scratch reimplementation of
     the inequalities on randomized scenarios; nothing in the suite asserts
@@ -289,7 +207,7 @@ def test_6_admissibility_means_only_not_obstructed():
     for _ in range(300):
         scenario = _random_scenario(rng)
         report = full_report(scenario)
-        genus_ok, signature_ok, one_sided_ok, m_ok = _independent_verdicts(scenario)
+        genus_ok, signature_ok, one_sided_ok, m_ok = verdicts(scenario)
         assert report.genus_formula.holds == genus_ok
         assert report.signature_bound.holds == signature_ok
         assert report.one_sided_bound.holds == one_sided_ok

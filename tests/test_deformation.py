@@ -18,9 +18,9 @@ from curvesig import (
     full_report,
     milnor_number,
     torus_signature_at,
-    torus_signature_function,
 )
 from curvesig.documents import ScenarioFormatError, parse_report, serialize_report
+from oracles import WINDOW_PAIRS, signature_at, sweeps
 
 A2 = Cusp(2, 3)
 A4 = Cusp(2, 5)
@@ -28,8 +28,6 @@ A6 = Cusp(2, 7)
 
 CUSP_TO_NODE = DeformationScenario(A2, (), 1, 0)
 A6_TO_THREE_A2 = DeformationScenario(A6, (A2, A2, A2), 0, 0)
-
-WINDOW_PAIRS = [(p, q) for p in range(2, 13) for q in range(p + 1, 76) if gcd(p, q) == 1 and p * q <= 150]
 
 
 def random_scenario(rng):
@@ -113,8 +111,8 @@ class TestSignatureBound:
         assert not verdict.holds
         assert verdict.right == 0
         assert verdict.left == 4
-        central = torus_signature_function(A6).value_at(verdict.witness)
-        fiber = 3 * torus_signature_function(A2).value_at(verdict.witness)
+        central = signature_at(A6, verdict.witness)
+        fiber = 3 * signature_at(A2, verdict.witness)
         assert abs(central - fiber) == verdict.left
 
     def test_self_deformation_margin_zero_everywhere(self):
@@ -278,54 +276,19 @@ class TestSweepSufficiency:
     def test_resweep_at_random_interior_points(self, seed):
         rng = random.Random(1000 + seed)
         scenario = random_scenario(rng)
-        points = set()
-        for cusp in {scenario.central, *scenario.cusps}:
-            points.update(torus_signature_function(cusp).breakpoints)
-        grid = [Fraction(0), *sorted(points), Fraction(1)]
-
-        def left_at(x):
-            central = torus_signature_function(scenario.central).value_at(x)
-            fiber = sum(torus_signature_function(c).value_at(x) for c in scenario.cusps)
-            return abs(central - (fiber - scenario.double_points))
-
-        worst = max(
-            left_at((grid[i] + grid[i + 1]) / 2) for i in range(len(grid) - 1)
-        )
-        verdict = full_report(scenario).signature_bound
-        assert verdict.left == worst
+        (_, worst), _ = sweeps(scenario)
+        assert full_report(scenario).signature_bound.left == worst
         # arbitrary interior points of each interval give the same sweep result
         for _ in range(3):
-            t = Fraction(rng.randint(1, 999), 1000)
-            resweep = max(
-                left_at(grid[i] + (grid[i + 1] - grid[i]) * t)
-                for i in range(len(grid) - 1)
-            )
+            (_, resweep), _ = sweeps(scenario, at=Fraction(rng.randint(1, 999), 1000))
             assert resweep == worst
 
     @staticmethod
     def assert_matches_per_copy_reference(scenario):
-        # the reference evaluates every copy of every cusp separately at every
-        # midpoint of the common refinement and keeps the first maximiser
-        points = set()
-        for cusp in {scenario.central, *scenario.cusps}:
-            points.update(torus_signature_function(cusp).breakpoints)
-        grid = [Fraction(0), *sorted(points), Fraction(1)]
-        two_sided = one_sided = None
-        for i in range(len(grid) - 1):
-            x = (grid[i] + grid[i + 1]) / 2
-            central = torus_signature_function(scenario.central).value_at(x)
-            fiber = sum(torus_signature_function(c).value_at(x) for c in scenario.cusps)
-            left = abs(central - (fiber - scenario.double_points))
-            if two_sided is None or left > two_sided[1]:
-                two_sided = (x, left)
-            if one_sided is None or central - fiber > one_sided[1]:
-                one_sided = (x, central - fiber)
         report = full_report(scenario)
-        for verdict, (witness, left) in [
-            (report.signature_bound, two_sided),
-            (report.one_sided_bound, one_sided),
-        ]:
-            assert (verdict.witness, verdict.left) == (witness, left)
+        two_sided, one_sided = sweeps(scenario)
+        assert (report.signature_bound.witness, report.signature_bound.left) == two_sided
+        assert (report.one_sided_bound.witness, report.one_sided_bound.left) == one_sided
 
     @pytest.mark.parametrize("seed", range(6))
     def test_repeated_cusps_match_per_copy_reference(self, seed):

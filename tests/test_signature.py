@@ -25,18 +25,9 @@ from curvesig import (
     torus_signature_function,
 )
 from curvesig.singularities import _MAX_MILNOR, _profile
+from oracles import WINDOW_PAIRS, random_non_breakpoint, signature_at, torus_seifert
 
 SMALL_PAIRS = [(p, q) for p in range(2, 7) for q in range(p + 1, 16) if gcd(p, q) == 1 and p * q <= 30]
-WINDOW_PAIRS = [(p, q) for p in range(2, 13) for q in range(p + 1, 76) if gcd(p, q) == 1 and p * q <= 150]
-
-
-def random_non_breakpoint(rng, cusp, denominator=10000):
-    """Uniform rational in (0, 1) avoiding the jump locations of the cusp."""
-    jumps = jump_set(cusp)
-    while True:
-        x = Fraction(rng.randint(1, denominator - 1), denominator)
-        if x not in jumps and x + 1 not in jumps:
-            return x
 
 
 class TestJumpSet:
@@ -183,7 +174,7 @@ class TestProfile:
             grid = (Fraction(0), *fn.breakpoints, Fraction(1))
             for lo, hi, value in zip(grid, grid[1:], fn.values):
                 x = (lo + hi) / 2
-                assert value == sum(w * torus_signature_at(c, x) for c, w in weights.items()), (weights, x)
+                assert value == sum(w * signature_at(c, x) for c, w in weights.items()), (weights, x)
 
 
 class TestMilnorCap:
@@ -430,21 +421,6 @@ class TestSeifertSignature:
         for _ in range(25):
             x = random_non_breakpoint(rng, cusp)
             assert seifert_signature_at(matrix, x) == torus_signature_at(cusp, x)
-
-
-def _minus_one_bidiagonal(n):
-    # B_n: (n - 1) x (n - 1), -1 on the diagonal and +1 just above it
-    return [[-1 if j == i else 1 if j == i + 1 else 0 for j in range(n - 1)] for i in range(n - 1)]
-
-
-def torus_seifert(cusp):
-    """Seifert matrix V(p, q) = -(B_p (x) B_q) of the (p, q) torus knot: the
-    Milnor fiber of x^p + y^q is the join of p and q points, so its Seifert
-    form is the tensor product of the A_{p-1} and A_{q-1} forms."""
-    bp, bq = _minus_one_bidiagonal(cusp.p), _minus_one_bidiagonal(cusp.q)
-    return SeifertMatrix(tuple(
-        tuple(-a * b for a in row_p for b in row_q) for row_p in bp for row_q in bq
-    ))
 
 
 class TestTensorSeifert:
