@@ -32,7 +32,6 @@ _EXPORTS = {
         "NearSingularForm",
         "StepFunction",
         "SeifertMatrix",
-        "jump_set",
         "torus_signature_at",
         "torus_signature_function",
         "integral",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 # The other library modules, the document format, argparse and json are
@@ -70,9 +71,14 @@ def _cmd_signature(args) -> int:
         return 0
     from .signature import integral, torus_signature_function
     fn = torus_signature_function(cusp)
-    grid = (Fraction(0), *fn.breakpoints, Fraction(1))
-    for i, value in enumerate(fn.values):
-        print(f"({format_rational(grid[i])}, {format_rational(grid[i + 1])}): {value}")
+    # each interval end c/d once, in lowest terms; 0 and 1 (g == d) as themselves
+    d = fn.denominator
+    ends = []
+    for c in (0, *fn.cuts, d):
+        g = gcd(c, d)
+        ends.append(str(c // g) if g == d else f"{c // g}/{d // g}")
+    for lo, hi, value in zip(ends, ends[1:], fn.values):
+        print(f"({lo}, {hi}): {value}")
     print(f"integral = {format_rational(integral(fn))}")
     return 0
 

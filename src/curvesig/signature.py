@@ -7,8 +7,7 @@ by a counting formula over the jump set
 
 Each jump is n/(pq) for a jump numerator n = iq + jp of `singularities`, and
 for coprime p, q these numerators are pairwise distinct, so the module counts
-integers and builds a `Fraction` only to hand a jump or a breakpoint out;
-`jump_set` is the sorted tuple of these fractions.  The value at a non-jump x
+integers and hands no jump out as a `Fraction`.  The value at a non-jump x
 in (0, 1) is the number of jumps outside the open window (x, x+1) minus the
 number inside.  As x grows, a jump n < pq leaves the window at n/(pq) and
 raises the value by 2, and a jump n > pq enters it at (n - pq)/(pq) and
@@ -17,7 +16,8 @@ about 1.  The step function is therefore a running sum over these integer
 events, which `singularities._profile` merges, and its integral over (0, 1)
 is an exact rational.  The folded positions are distinct as well, so each
 breakpoint is a single jump, and `StepFunction` keeps them as strictly
-increasing integer cuts over the one denominator pq.  `torus_signature_at`
+increasing integer cuts over the one denominator pq; `Fraction(c,
+fn.denominator)` turns a cut c into its point of (0, 1).  `torus_signature_at`
 counts the window directly instead, so it stays an oracle independent of
 the scan.  Values at the jumps themselves are undefined: evaluating there
 raises `BreakpointEvaluation` rather than picking one of the competing
@@ -96,11 +96,6 @@ class StepFunction(_Record):
             raise ValueError(f"denominator {denominator} is not the least for the cuts {cuts}")
         self.__dict__.update(denominator=denominator, cuts=cuts, values=values)
 
-    @property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        """The cuts as points of (0, 1), in lowest terms."""
-        return tuple(Fraction(c, self.denominator) for c in self.cuts)
-
     def value_at(self, x) -> int:
         """Value on the open interval containing x, for x in (0, 1)."""
         x = _unit_point(x)
@@ -109,13 +104,6 @@ class StepFunction(_Record):
         if rest == 0 and i and self.cuts[i - 1] == position:
             raise BreakpointEvaluation(x)
         return self.values[i]
-
-
-def jump_set(cusp: Cusp) -> tuple[Fraction, ...]:
-    """Jump set {i/p + j/q : 1 <= i < p, 1 <= j < q} of the (p, q) torus knot,
-    as a sorted tuple of mu distinct fractions inside (0, 2)."""
-    pq = cusp.p * cusp.q
-    return tuple(Fraction(n, pq) for n in sorted(_numerators(cusp)))
 
 
 def torus_signature_at(cusp: Cusp, x) -> int:

@@ -1,8 +1,11 @@
-"""`ci/minimal.sh` against the source tree.  The script holds the checks of the
-CI job that installs the package without extras.  Here a `curvesig` shim runs
-`sys.exit(main())` and `python` runs with -S, so site-packages, and numpy with
-them, stay out as they do after `pip install .`."""
+"""The CI scripts against the source tree.  `ci/minimal.sh` holds the checks
+of the CI job that installs the package without extras.  Here a `curvesig`
+shim runs `sys.exit(main())` and `python` runs with -S, so site-packages, and
+numpy with them, stay out as they do after `pip install .`.  `ci/mutants.py`
+runs tier-1 once per mutant, too slow for tier-1, so here only its table is
+checked against the tree."""
 
+import importlib.util
 import os
 import shlex
 import subprocess
@@ -36,3 +39,14 @@ def test_minimal_script_passes_on_the_source_tree(tmp_path):
         check=False,
     )
     assert (proc.returncode, proc.stdout) == (0, "minimal: all checks passed\n"), proc.stdout + proc.stderr
+
+
+def test_every_mutant_applies_to_the_tree():
+    # a refactor that changes a mutated line must update the table, not orphan it
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "ci" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({name for *_, name in mutants.MUTANTS}) == len(mutants.MUTANTS) == 12
+    for path, old, new, name in mutants.MUTANTS:
+        assert old != new, name
+        assert (ROOT / path).read_text(encoding="utf-8").count(old) == 1, name

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ from curvesig import (
     RationalVerdict,
     SweepVerdict,
     full_report,
+    integral,
+    torus_signature_function,
 )
 from curvesig.cli import format_rational, main
 from curvesig.documents import (
@@ -105,6 +108,20 @@ class TestSignatureCommand:
             "(5/6, 1): 0",
             "integral = -4/3",
         ]
+
+    def test_ends_render_as_their_fractions(self, capsys):
+        # the reference writes each end through Fraction and format_rational;
+        # the pairs are the tabulate pool (pq <= 260) and (100, 101)
+        pairs = [(p, q) for p in range(2, 17) for q in range(p + 1, 131) if gcd(p, q) == 1 and p * q <= 260]
+        for p, q in [*pairs, (100, 101)]:
+            fn = torus_signature_function(Cusp(p, q))
+            points = [Fraction(0), *(Fraction(c, fn.denominator) for c in fn.cuts), Fraction(1)]
+            expected = "".join(
+                f"({format_rational(lo)}, {format_rational(hi)}): {value}\n"
+                for lo, hi, value in zip(points, points[1:], fn.values)
+            )
+            expected += f"integral = {format_rational(integral(fn))}\n"
+            assert run(capsys, "signature", str(p), str(q)) == (0, expected, ""), (p, q)
 
     def test_at_point(self, capsys):
         code, out, _ = run(capsys, "signature", "2", "3", "--at", "1/2")
@@ -880,7 +897,7 @@ class TestImportPath:
         expected = ["__version__"]
         for module in (singularities, signature, deformation, enumeration):
             expected += module.__all__
-        assert len(expected) == 28 and curvesig.__all__ == expected
+        assert len(expected) == 27 and curvesig.__all__ == expected
         proc = run_python(
             "import json\nnamespace = {}\nexec('from curvesig import *', namespace)\nimport curvesig\n"
             "print(json.dumps([curvesig.__all__, sorted(set(namespace) - {'__builtins__'}), dir(curvesig)]))\n"
@@ -890,6 +907,11 @@ class TestImportPath:
         assert cold_all == expected
         assert star == sorted(expected)
         assert set(expected) <= set(listed)
+
+    def test_jump_set_is_gone(self):
+        # the jump numerators stay integers in singularities._numerators
+        assert "jump_set" not in curvesig.__all__
+        assert not hasattr(curvesig, "jump_set") and not hasattr(curvesig.signature, "jump_set")
 
     def test_full_report_is_the_one_route_to_the_verdicts(self):
         for name in ("check_genus_formula", "check_m_number_bound"):

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import curvesig.enumeration
 from curvesig import (
     Cusp,
     SearchBudget,
@@ -146,6 +147,31 @@ class TestLargeSearches:
     def test_stream_is_pinned(self, search):
         lines = [repr(result) for result in enumerate_admissible(SearchBudget(*search))]
         assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == self.PINS[search]
+
+
+class TestWalkWork:
+    """How much work the walk does, not only what it emits: (configurations
+    emitted, reports built).  The prunes and the genus clamp change only the
+    work, so these pins are what sees them.  A walk that does less work on
+    purpose (ROADMAP items 2 and 3) changes these counts, and records the
+    new ones in CHANGES.md."""
+
+    PINS = {
+        (Cusp(2, 9), 0, 0, True): (1, 9),
+        (A2, 5, 5, True): (3, 8),
+        (Cusp(2, 9), 1, 2, False): (50, 1818),
+    }
+
+    @pytest.mark.parametrize("search", PINS, ids=["2_9_genus_formula", "2_3_clamped", "2_9_no_genus_formula"])
+    def test_work_is_pinned(self, search, monkeypatch):
+        reports = []
+
+        def counted(scenario):
+            reports.append(scenario)
+            return full_report(scenario)
+
+        monkeypatch.setattr(curvesig.enumeration, "full_report", counted)
+        assert (count_admissible(SearchBudget(*search)), len(reports)) == self.PINS[search]
 
 
 # the centrals with mu_0 <= 10 and every budget up to (3, 3) with the genus

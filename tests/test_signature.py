@@ -17,52 +17,50 @@ from curvesig import (
     enumerate_admissible,
     full_report,
     integral,
-    jump_set,
     m_number,
     milnor_number,
     seifert_signature_at,
     torus_signature_at,
     torus_signature_function,
 )
-from curvesig.singularities import _MAX_MILNOR, _profile
+from curvesig.singularities import _MAX_MILNOR, _numerators, _profile
 from oracles import WINDOW_PAIRS, random_non_breakpoint, signature_at, torus_seifert
 
 SMALL_PAIRS = [(p, q) for p in range(2, 7) for q in range(p + 1, 16) if gcd(p, q) == 1 and p * q <= 30]
 
 
-class TestJumpSet:
+def grid(fn: StepFunction) -> tuple[Fraction, ...]:
+    """0, the breakpoints cuts[i] / denominator, and 1."""
+    return (Fraction(0), *(Fraction(c, fn.denominator) for c in fn.cuts), Fraction(1))
+
+
+class TestNumerators:
+    # the jump at n/(pq) for each numerator n = iq + jp that every signature route reads
+
     def test_frozen_examples(self):
-        assert list(jump_set(Cusp(2, 3))) == [Fraction(5, 6), Fraction(7, 6)]
-        assert list(jump_set(Cusp(2, 5))) == [
-            Fraction(7, 10),
-            Fraction(9, 10),
-            Fraction(11, 10),
-            Fraction(13, 10),
-        ]
+        assert sorted(_numerators(Cusp(2, 3))) == [5, 7]  # over 6
+        assert sorted(_numerators(Cusp(2, 5))) == [7, 9, 11, 13]  # over 10
 
     def test_cardinality_and_symmetry_3_4(self):
-        jumps = jump_set(Cusp(3, 4))
-        assert len(jumps) == 6 == milnor_number(Cusp(3, 4))
-        elements = list(jumps)
-        for s in elements:
-            assert elements.count(s) == elements.count(2 - s)
+        numerators = _numerators(Cusp(3, 4))
+        assert len(numerators) == 6 == milnor_number(Cusp(3, 4))
+        for n in numerators:
+            assert numerators.count(n) == numerators.count(24 - n)
 
     @pytest.mark.parametrize("p,q", SMALL_PAIRS)
-    def test_symmetry_about_one(self, p, q):
-        elements = list(jump_set(Cusp(p, q)))
-        for s in elements:
-            assert elements.count(s) == elements.count(2 - s)
+    def test_symmetry_about_pq(self, p, q):
+        numerators = _numerators(Cusp(p, q))
+        for n in numerators:
+            assert numerators.count(n) == numerators.count(2 * p * q - n)
 
     @pytest.mark.parametrize("p,q", SMALL_PAIRS)
     def test_cardinality_is_milnor_number(self, p, q):
         # the jumps are distinct: no location is a multiple jump
-        assert len(set(jump_set(Cusp(p, q)))) == milnor_number(Cusp(p, q))
+        assert len(set(_numerators(Cusp(p, q)))) == milnor_number(Cusp(p, q))
 
     @pytest.mark.parametrize("p,q", SMALL_PAIRS)
-    def test_sorted_tuple_of_fractions_inside_0_2(self, p, q):
-        jumps = jump_set(Cusp(p, q))
-        assert type(jumps) is tuple and jumps == tuple(sorted(jumps))
-        assert all(type(s) is Fraction and 0 < s < 2 for s in jumps)
+    def test_ints_inside_0_2pq(self, p, q):
+        assert all(type(n) is int and 0 < n < 2 * p * q for n in _numerators(Cusp(p, q)))
 
 
 class TestTorusSignatureAt:
@@ -111,17 +109,12 @@ class TestTorusSignatureAt:
 class TestTorusSignatureFunction:
     def test_trefoil(self):
         fn = torus_signature_function(Cusp(2, 3))
-        assert fn.breakpoints == (Fraction(1, 6), Fraction(5, 6))
+        assert (fn.denominator, fn.cuts) == (6, (1, 5))
         assert fn.values == (0, -2, 0)
 
     def test_2_5(self):
         fn = torus_signature_function(Cusp(2, 5))
-        assert fn.breakpoints == (
-            Fraction(1, 10),
-            Fraction(3, 10),
-            Fraction(7, 10),
-            Fraction(9, 10),
-        )
+        assert (fn.denominator, fn.cuts) == (10, (1, 3, 7, 9))
         assert fn.values == (0, -2, -4, -2, 0)
 
     @pytest.mark.parametrize("p,q", SMALL_PAIRS)
@@ -136,15 +129,14 @@ class TestTorusSignatureFunction:
         # are mu distinct points, each a jump of x or of x + 1
         cusp = Cusp(p, q)
         fn = torus_signature_function(cusp)
-        assert len(fn.breakpoints) == milnor_number(cusp)
+        assert len(fn.cuts) == milnor_number(cusp)
         rng = random.Random(17 * p + q)
-        grid = (Fraction(0), *fn.breakpoints, Fraction(1))
-        for i in range(len(grid) - 1):
-            lo, hi = grid[i], grid[i + 1]
+        points = grid(fn)
+        for lo, hi in zip(points, points[1:]):
             t = Fraction(rng.randint(1, 99), 100)
             x = lo + (hi - lo) * t
             assert fn.value_at(x) == torus_signature_at(cusp, x)
-        for b in fn.breakpoints:
+        for b in points[1:-1]:
             with pytest.raises(BreakpointEvaluation):
                 torus_signature_at(cusp, b)
 
@@ -171,8 +163,8 @@ class TestProfile:
         for _ in range(40):
             weights = {c: rng.randint(-3, 3) for c in rng.sample(pool, rng.randint(1, 4))}
             fn = StepFunction(*_profile(weights))
-            grid = (Fraction(0), *fn.breakpoints, Fraction(1))
-            for lo, hi, value in zip(grid, grid[1:], fn.values):
+            points = grid(fn)
+            for lo, hi, value in zip(points, points[1:], fn.values):
                 x = (lo + hi) / 2
                 assert value == sum(w * signature_at(c, x) for c, w in weights.items()), (weights, x)
 
@@ -187,7 +179,7 @@ class TestMilnorCap:
     @pytest.mark.parametrize(
         "route",
         [
-            jump_set,
+            _numerators,
             torus_signature_function,
             lambda c: torus_signature_at(c, Fraction(1, 2)),
             lambda c: full_report(DeformationScenario(c, (Cusp(2, 3),), 0, 0)),
@@ -195,7 +187,7 @@ class TestMilnorCap:
             # refused before the candidate pool of mu <= 100 172 is listed
             lambda c: next(enumerate_admissible(SearchBudget(c, 0, 0))),
         ],
-        ids=["jump_set", "function", "at", "central", "fiber", "enumerate"],
+        ids=["_numerators", "function", "at", "central", "fiber", "enumerate"],
     )
     def test_every_route_refuses_a_cusp_over_the_cap(self, route):
         with pytest.raises(ValueError, match=f"above the cap of {_MAX_MILNOR}"):
@@ -213,18 +205,15 @@ class TestIntegral:
     @pytest.mark.parametrize("p,q", SMALL_PAIRS)
     def test_matches_midpoint_riemann_sum(self, p, q):
         fn = torus_signature_function(Cusp(p, q))
-        grid = (Fraction(0), *fn.breakpoints, Fraction(1))
-        riemann = sum(
-            fn.value_at((grid[i] + grid[i + 1]) / 2) * (grid[i + 1] - grid[i])
-            for i in range(len(grid) - 1)
-        )
+        points = grid(fn)
+        riemann = sum(fn.value_at((lo + hi) / 2) * (hi - lo) for lo, hi in zip(points, points[1:]))
         assert integral(fn) == riemann
 
     @staticmethod
     def per_interval_sum(fn: StepFunction) -> Fraction:
         # the reference: one Fraction product per interval of the grid
-        grid = (Fraction(0), *fn.breakpoints, Fraction(1))
-        return sum((v * (grid[i + 1] - grid[i]) for i, v in enumerate(fn.values)), Fraction(0))
+        points = grid(fn)
+        return sum((v * (hi - lo) for lo, hi, v in zip(points, points[1:], fn.values)), Fraction(0))
 
     def test_matches_per_interval_sum_on_mixed_denominators(self):
         rng = random.Random(13)
@@ -238,7 +227,7 @@ class TestIntegral:
             common = lcm(*(b.denominator for b in breakpoints))
             cuts = sorted(b.numerator * (common // b.denominator) for b in breakpoints)
             fn = StepFunction(common, tuple(cuts), tuple(values))
-            assert fn.breakpoints == tuple(sorted(breakpoints))
+            assert grid(fn)[1:-1] == tuple(sorted(breakpoints))
             assert integral(fn) == self.per_interval_sum(fn), fn
         for p, q in [(2, 5), (7, 11), (13, 20), (30, 61)]:
             fn = torus_signature_function(Cusp(p, q))
@@ -275,8 +264,8 @@ class TestStepFunction:
             fn.value_at(Fraction(1, 4))
         # breakpoints in lower terms than the denominator, such as 14/20 = 7/10
         fn = torus_signature_function(Cusp(4, 5))
-        assert Fraction(7, 10) in fn.breakpoints
-        for b in fn.breakpoints:
+        assert fn.denominator == 20 and 14 in fn.cuts
+        for b in grid(fn)[1:-1]:
             with pytest.raises(BreakpointEvaluation):
                 fn.value_at(b)
 
@@ -349,7 +338,6 @@ class TestStepFunction:
     def test_one_record_per_function(self):
         # the least denominator makes equal functions equal records
         assert StepFunction(1, (), (0,)) == StepFunction(1, [], [0])
-        assert StepFunction(4, (1, 3), (0, 1, 0)).breakpoints == (Fraction(1, 4), Fraction(3, 4))
         assert torus_signature_function(Cusp(2, 5)) == StepFunction(10, (1, 3, 7, 9), (0, -2, -4, -2, 0))
 
     def test_integral_ignores_breakpoints(self):
@@ -360,6 +348,11 @@ class TestStepFunction:
         # integral(fn) is the one route, so no method may shadow it
         assert not hasattr(StepFunction, "integral")
         assert not hasattr(torus_signature_function(Cusp(2, 3)), "integral")
+
+    def test_cuts_are_the_one_view_of_the_breakpoints(self):
+        # no Fraction view of the cuts: `grid` above builds one where a test needs it
+        assert not hasattr(StepFunction, "breakpoints")
+        assert not hasattr(torus_signature_function(Cusp(2, 3)), "breakpoints")
 
 
 class TestBidiagonalSeifert:
