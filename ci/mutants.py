@@ -24,7 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "-x", "tests", "--ignore=tests/test_ci.py"]
-# tier-1 takes 15-20 s on a 2-vCPU machine, and about 50 s with the mu prune dropped
+# tier-1 takes 20-35 s on a 2-vCPU machine, and 45-65 s with the mu prune dropped
 TIMEOUT_S = 300
 
 # (file, old text, new text, name); each old text occurs exactly once in its file

@@ -12,7 +12,7 @@ terms.  No floating point enters this module.  The (p, q) torus knot's
 signature jumps at n/(pq) for the jump numerators n = iq + jp with
 1 <= i < p, 1 <= j < q.  `_numerators` lists them for every signature route
 and refuses a Milnor number above the cap `_MAX_MILNOR` ((300, 301) builds
-in about a second); `_events` sorts them into integer steps, and `_profile`
+in about 0.2 s); `_events` sorts them into integer steps, and `_profile`
 merges the steps of weighted cusps into the integer step function that
 `signature` and `deformation` read, so the checks never load `signature`.
 

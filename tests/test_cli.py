@@ -733,35 +733,6 @@ class TestImportPath:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
-    def test_commands_run_without_numpy(self, run_python, capsys, tmp_path):
-        scenario = tmp_path / "s.json"
-        scenario.write_text(
-            json.dumps({"central": [2, 7], "cusps": [[2, 3]], "double_points": 1, "genus": 1})
-        )
-        commands = [
-            ["invariants", "2", "3"],
-            ["signature", "2", "5"],
-            ["check", str(scenario)],
-            ["enumerate", "2", "7", "--max-genus", "0", "--max-double-points", "1"],
-            ["bmy", "3", "4", "--cusps", "2,3"],
-        ]
-        expected = [list(run(capsys, *argv)[:2]) for argv in commands]
-        assert all(code in (0, 1) and out for code, out in expected)
-        proc = run_python(
-            self.BLOCK_NUMPY
-            + "import contextlib, io, json\n"
-            + "from curvesig.cli import main\n"
-            + "results = []\n"
-            + f"for argv in {commands!r}:\n"
-            + "    out = io.StringIO()\n"
-            + "    with contextlib.redirect_stdout(out):\n"
-            + "        code = main(argv)\n"
-            + "    results.append([code, out.getvalue()])\n"
-            + "print(json.dumps(results))\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == expected
-
     def test_seifert_route_names_the_extra(self, run_python):
         proc = run_python(
             self.BLOCK_NUMPY

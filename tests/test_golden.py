@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from curvesig import Cusp, SearchBudget, enumerate_admissible
-from curvesig.cli import main
+from curvesig.cli import _COMMANDS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 EXPECTED = ROOT / "bench" / "expected"
@@ -34,6 +34,14 @@ def test_cli_command_replays_exactly(command, capsys, monkeypatch):
         status = err.code
     assert status == command["status"]
     assert capsys.readouterr().out == command["stdout"]
+
+
+def test_cli_corpus_reaches_every_command_and_status():
+    # ci/minimal.sh replays this corpus as its packaging check, so a re-recorded
+    # corpus must still reach every subcommand and status
+    assert set(_COMMANDS) <= {command["args"][0] for command in CLI_COMMANDS}
+    assert {command["status"] for command in CLI_COMMANDS} == {0, 1, 2}
+    assert all(command["stdout"] == "" for command in CLI_COMMANDS if command["status"] == 2)
 
 
 def enumerate_line(result) -> str:
